@@ -237,7 +237,7 @@ class PaperWorld {
     state_.tracker[id].on_join(now);
     ++counters_[s].churn_events;
 
-    post_probe(id, now + cfg_.probing.period);
+    post_probe(id);
 
     const std::uint64_t cycle = churn_cycle_[id];
     const net::ChurnConfig& churn = cfg_.overlay.churn;
@@ -268,16 +268,18 @@ class PaperWorld {
     engine_.post(s, s, now + gap, [this, id] { do_join(id); });
   }
 
-  void post_probe(NodeId id, sim::Time at) {
+  // Probe timers are re-armed one period after now, so they go through the
+  // owner shard's FIFO lane.
+  void post_probe(NodeId id) {
     const std::uint32_t s = partition_.shard_of(id);
-    engine_.post(s, s, at, [this, id] { probe_tick(id); });
+    // lint-exempt(cross-shard): the probe loop re-arms its own shard
+    engine_.shard(s).schedule_fifo_in(cfg_.probing.period, [this, id] { probe_tick(id); });
   }
 
   void probe_tick(NodeId id) {
     if (state_.online[id] == 0) return;  // suspended; do_join restarts it
-    const std::uint32_t s = partition_.shard_of(id);
     probing_->probe(id, published_);
-    post_probe(id, local_sim(s).now() + cfg_.probing.period);
+    post_probe(id);
   }
 
   [[nodiscard]] std::uint64_t key_of_node(NodeId id, std::uint64_t n) const noexcept {

@@ -1,9 +1,17 @@
 #include "net/overlay.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace p2panon::net {
+
+namespace {
+
+// Fenwick-tree step: the lowest set bit of i.
+[[nodiscard]] constexpr std::size_t lowest_bit(std::size_t i) noexcept { return i & (~i + 1); }
+
+}  // namespace
 
 Overlay::Overlay(const OverlayConfig& cfg, sim::Simulator& simulator, sim::rng::Stream stream)
     : cfg_(cfg),
@@ -39,6 +47,22 @@ Overlay::Overlay(const OverlayConfig& cfg, sim::Simulator& simulator, sim::rng::
       const std::size_t p = picks[slot];
       row[slot] = static_cast<NodeId>(p >= id ? p + 1 : p);
     }
+  }
+
+  // Departure index: prepending slots in descending order leaves every
+  // in-edge list ascending. Every node starts non-departed, and over an
+  // all-ones array Fenwick entry i counts lowest_bit(i) elements.
+  assert(cfg.node_count * cfg.degree < kNoSlot);
+  in_head_.assign(cfg.node_count, kNoSlot);
+  in_next_.assign(state_.neighbors.size(), kNoSlot);
+  for (auto slot = static_cast<std::uint32_t>(state_.neighbors.size()); slot-- > 0;) {
+    std::uint32_t& head = in_head_[state_.neighbors[slot]];
+    in_next_[slot] = head;
+    head = slot;
+  }
+  non_departed_tree_.resize(cfg.node_count + 1);
+  for (std::size_t i = 0; i <= cfg.node_count; ++i) {
+    non_departed_tree_[i] = static_cast<std::uint32_t>(lowest_bit(i));
   }
 }
 
@@ -90,7 +114,7 @@ void Overlay::do_leave(NodeId id, std::uint64_t leave_epoch) {
   notify_churn(id, false);
 
   if (churn_.is_final_departure()) {
-    state_.departed[id] = 1;
+    set_departed(id, true);
     replace_departed_neighbor(id);
     return;
   }
@@ -100,7 +124,7 @@ void Overlay::do_leave(NodeId id, std::uint64_t leave_epoch) {
 
 void Overlay::force_online(NodeId id) {
   if (state_.online.at(id) != 0) return;
-  state_.departed[id] = 0;
+  set_departed(id, false);
   if (state_.crashed[id] != 0) {
     state_.crashed[id] = 0;
     ++state_.leave_epoch[id];
@@ -147,34 +171,102 @@ void Overlay::recover(NodeId id) {
 }
 
 void Overlay::replace_departed_neighbor(NodeId departed) {
-  for (NodeId s = 0; s < state_.size(); ++s) {
-    if (s == departed) continue;
-    for (NodeId& nb : state_.neighbors_of(s)) {
-      if (nb == departed) {
-        const NodeId fresh = pick_replacement(s, departed);
-        if (fresh == kInvalidNode) continue;  // nobody suitable; keep stale entry
-        nb = fresh;
-        for (const auto& obs : neighbor_observers_) obs(s, departed, fresh, sim_.now());
-      }
+  // The slots naming `departed`, in ascending (owner, slot) order: the
+  // order a scan of every row would meet them, so observers see the same
+  // call sequence.
+  std::uint32_t prev = kNoSlot;
+  std::uint32_t slot = in_head_[departed];
+  while (slot != kNoSlot) {
+    const std::uint32_t next = in_next_[slot];
+    const auto owner = static_cast<NodeId>(slot / state_.degree);
+    assert(owner != departed && "rows never name their owner");
+    const NodeId fresh = pick_replacement(owner, departed);
+    if (fresh == kInvalidNode) {
+      prev = slot;  // nobody suitable; keep stale entry
+    } else {
+      (prev == kNoSlot ? in_head_[departed] : in_next_[prev]) = next;
+      state_.neighbors[slot] = fresh;
+      link_in_edge(slot);
+      for (const auto& obs : neighbor_observers_) obs(owner, departed, fresh, sim_.now());
     }
+    slot = next;
   }
 }
 
 NodeId Overlay::pick_replacement(NodeId owner, NodeId departed) {
   // Candidates: any non-departed node that is not the owner, not the departed
-  // neighbour, and not already in D(owner).
-  const auto own_row = state_.neighbors_of(owner);
-  std::vector<NodeId> candidates;
-  candidates.reserve(state_.size());
-  for (NodeId c = 0; c < state_.size(); ++c) {
-    if (c == owner || c == departed || state_.departed[c] != 0) continue;
-    if (std::find(own_row.begin(), own_row.end(), c) != own_row.end()) continue;
-    candidates.push_back(c);
-  }
-  if (candidates.empty()) return kInvalidNode;
+  // neighbour, and not already in D(owner), in ascending id order. The draw
+  // picks candidate `rank`; it is found by skipping the excluded nodes over
+  // the Fenwick ranks of the non-departed ones, without listing candidates.
+  excluded_.clear();
+  const auto exclude = [this](NodeId c) {
+    if (state_.departed[c] == 0) excluded_.push_back(c);
+  };
+  exclude(owner);
+  exclude(departed);
+  for (NodeId nb : state_.neighbors_of(owner)) exclude(nb);
+  std::sort(excluded_.begin(), excluded_.end());
+  excluded_.erase(std::unique(excluded_.begin(), excluded_.end()), excluded_.end());
+
+  const std::size_t candidates = non_departed_before(static_cast<NodeId>(size())) -
+                                 excluded_.size();
+  if (candidates == 0) return kInvalidNode;
   auto pick_stream = stream_.child("replacement", (static_cast<std::uint64_t>(owner) << 32) ^
                                                       churn_event_count_);
-  return candidates[pick_stream.below(candidates.size())];
+  // Candidate `rank` is the non-departed node of rank `rank` plus one for
+  // every excluded node at or below it.
+  auto rank = static_cast<std::size_t>(pick_stream.below(candidates));
+  for (NodeId e : excluded_) {
+    if (non_departed_before(e) > rank) break;
+    ++rank;
+  }
+  return non_departed_at(rank);
+}
+
+void Overlay::set_departed(NodeId id, bool departed) {
+  if ((state_.departed[id] != 0) == departed) return;
+  state_.departed[id] = departed ? 1 : 0;
+  for (std::size_t i = std::size_t{id} + 1; i < non_departed_tree_.size(); i += lowest_bit(i)) {
+    if (departed) {
+      --non_departed_tree_[i];
+    } else {
+      ++non_departed_tree_[i];
+    }
+  }
+}
+
+void Overlay::link_in_edge(std::uint32_t slot) {
+  std::uint32_t* link = &in_head_[state_.neighbors[slot]];
+  while (*link != kNoSlot && *link < slot) link = &in_next_[*link];
+  in_next_[slot] = *link;
+  *link = slot;
+}
+
+std::size_t Overlay::non_departed_before(NodeId v) const noexcept {
+  std::size_t count = 0;
+  for (std::size_t i = v; i > 0; i -= lowest_bit(i)) count += non_departed_tree_[i];
+  return count;
+}
+
+NodeId Overlay::non_departed_at(std::size_t rank) const noexcept {
+  // Fenwick descent: the largest prefix holding at most `rank` non-departed
+  // nodes ends just before the answer.
+  std::size_t pos = 0;
+  for (std::size_t step = std::bit_floor(size()); step > 0; step >>= 1) {
+    if (pos + step <= size() && non_departed_tree_[pos + step] <= rank) {
+      pos += step;
+      rank -= non_departed_tree_[pos];
+    }
+  }
+  return static_cast<NodeId>(pos);
+}
+
+std::vector<NodeId> Overlay::in_neighbors(NodeId v) const {
+  std::vector<NodeId> owners;
+  for (std::uint32_t slot = in_head_.at(v); slot != kNoSlot; slot = in_next_[slot]) {
+    owners.push_back(static_cast<NodeId>(slot / state_.degree));
+  }
+  return owners;
 }
 
 void Overlay::notify_churn(NodeId id, bool online) {

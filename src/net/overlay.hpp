@@ -127,6 +127,14 @@ class Overlay {
   /// Number of join and leave events processed so far.
   [[nodiscard]] std::uint64_t churn_events() const noexcept { return churn_event_count_; }
 
+  /// Departure index, read back for tests: the owner of every neighbour
+  /// slot that names `v`, in ascending (owner, slot) order — one entry per
+  /// slot.
+  [[nodiscard]] std::vector<NodeId> in_neighbors(NodeId v) const;
+  /// Departure index, read back for tests: the number of non-departed
+  /// nodes with an id below `v` (v <= size()).
+  [[nodiscard]] std::size_t non_departed_before(NodeId v) const noexcept;
+
   [[nodiscard]] const OverlayConfig& config() const noexcept { return cfg_; }
 
  private:
@@ -136,6 +144,9 @@ class Overlay {
   void replace_departed_neighbor(NodeId departed);
   [[nodiscard]] NodeId pick_replacement(NodeId owner, NodeId departed);
   void notify_churn(NodeId id, bool online);
+  void set_departed(NodeId id, bool departed);
+  void link_in_edge(std::uint32_t slot);
+  [[nodiscard]] NodeId non_departed_at(std::size_t rank) const noexcept;
 
   OverlayConfig cfg_;
   sim::Simulator& sim_;
@@ -146,6 +157,21 @@ class Overlay {
   std::vector<ChurnObserver> churn_observers_;
   std::vector<NeighborObserver> neighbor_observers_;
   std::uint64_t churn_event_count_ = 0;
+
+  // Departure index. A neighbour slot is its position in the CSR table,
+  // owner * degree + column. For each node v, the slots naming v form a
+  // singly-linked list, ascending by slot: in_head_[v] is the first,
+  // in_next_[slot] the next (kNoSlot ends a list). So a departure visits
+  // only the rows that name the departed node, in the order of a full row
+  // scan.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> in_head_;
+  std::vector<std::uint32_t> in_next_;
+  // Fenwick tree (1-based) over the non-departed flags: maps a replacement
+  // draw to its candidate in O(log N) instead of listing all candidates.
+  std::vector<std::uint32_t> non_departed_tree_;
+  // pick_replacement() work buffer: the non-departed nodes a draw must skip.
+  std::vector<NodeId> excluded_;
 };
 
 }  // namespace p2panon::net

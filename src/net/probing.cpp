@@ -53,7 +53,8 @@ void ProbingEstimator::on_neighbor_replaced(NodeId s, NodeId old_neighbor, NodeI
 }
 
 void ProbingEstimator::start_probe_loop(NodeId s) {
-  overlay_.simulator().schedule_in(cfg_.period, [this, s] { probe(s); });
+  // Every probe is due one period after now, so probes take the FIFO lane.
+  overlay_.simulator().schedule_fifo_in(cfg_.period, [this, s] { probe(s); });
 }
 
 void ProbingEstimator::probe(NodeId s) {

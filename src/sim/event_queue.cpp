@@ -30,16 +30,44 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
   free_head_ = slot;
 }
 
-EventId EventQueue::schedule(Time at, EventFn fn) {
+EventQueue::Entry EventQueue::admit(Time at, EventFn fn) {
   assert(fn && "scheduling an empty event");
   ++stats_.scheduled;
   if (fn.uses_heap()) ++stats_.callback_heap_allocs;
   const std::uint32_t slot = acquire_slot();
   slots_[slot].fn = std::move(fn);
-  heap_.push_back(HeapEntry{at, next_seq_++, slot, slots_[slot].gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
-  return make_id(slot, slots_[slot].gen);
+  return Entry{at, next_seq_++, slot, slots_[slot].gen};
+}
+
+EventId EventQueue::schedule(Time at, EventFn fn) {
+  const Entry e = admit(at, std::move(fn));
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return make_id(e.slot, e.gen);
+}
+
+EventId EventQueue::schedule_fifo(Time at, EventFn fn) {
+  assert((lane_size_ == 0 ||
+          at >= lane_[(lane_head_ + lane_size_ - 1) & (lane_.size() - 1)].time) &&
+         "FIFO lane times must not decrease");
+  const Entry e = admit(at, std::move(fn));
+  lane_push(e);
+  return make_id(e.slot, e.gen);
+}
+
+void EventQueue::lane_push(const Entry& e) {
+  if (lane_size_ == lane_.size()) {
+    // Full (or never used): double, unrolling the ring to start at 0.
+    std::vector<Entry> grown(lane_.empty() ? 64 : 2 * lane_.size());
+    for (std::size_t i = 0; i < lane_size_; ++i) {
+      grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+    }
+    lane_.swap(grown);
+    lane_head_ = 0;
+  }
+  lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = e;
+  ++lane_size_;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -51,40 +79,64 @@ bool EventQueue::cancel(EventId id) {
   release_slot(slot);
   --live_count_;
   ++stats_.cancelled;
-  // The heap entry stays behind; drop_stale_tops() discards it when it
+  // The heap or lane entry stays behind; earliest() discards it when it
   // surfaces (its generation no longer matches the slot's).
   return true;
 }
 
-void EventQueue::drop_stale_tops() const {
+void EventQueue::lane_pop_front() const noexcept {
+  lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+  --lane_size_;
+}
+
+const EventQueue::Entry* EventQueue::earliest() const {
   while (!heap_.empty() && !entry_live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
+  while (lane_size_ != 0 && !entry_live(lane_front())) lane_pop_front();
+  if (lane_size_ == 0) return heap_.empty() ? nullptr : &heap_.front();
+  if (heap_.empty() || Later{}(heap_.front(), lane_front())) return &lane_front();
+  return &heap_.front();
 }
 
 Time EventQueue::next_time() const noexcept {
-  drop_stale_tops();
-  return heap_.empty() ? kTimeInfinity : heap_.front().time;
+  const Entry* e = earliest();
+  return e == nullptr ? kTimeInfinity : e->time;
 }
 
-EventQueue::Popped EventQueue::pop() {
-  drop_stale_tops();
-  assert(!heap_.empty() && "pop() on empty EventQueue");
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const HeapEntry e = heap_.back();
-  heap_.pop_back();
-  Popped out{e.time, make_id(e.slot, e.gen), std::move(slots_[e.slot].fn)};
+bool EventQueue::pop_until(Time until, Popped& out) {
+  const Entry* top = earliest();
+  if (top == nullptr || top->time > until) return false;
+  const Entry e = *top;
+  if (!heap_.empty() && top == &heap_.front()) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  } else {
+    lane_pop_front();
+  }
+  out.time = e.time;
+  out.id = make_id(e.slot, e.gen);
+  out.fn = std::move(slots_[e.slot].fn);
   // Free the slot before the caller runs the callback: the event is spent,
   // so cancel() of its own id from inside the callback reports false.
   release_slot(e.slot);
   --live_count_;
   ++stats_.fired;
+  return true;
+}
+
+EventQueue::Popped EventQueue::pop() {
+  Popped out;
+  [[maybe_unused]] const bool popped = pop_until(kTimeInfinity, out);
+  assert(popped && "pop() on empty EventQueue");
   return out;
 }
 
 void EventQueue::clear() {
   heap_.clear();
+  lane_head_ = 0;
+  lane_size_ = 0;
   // Rebuild the free list over every slot. Generations are preserved (and
   // bumped on reuse), so ids handed out before clear() can never alias a
   // post-clear event.

@@ -8,6 +8,17 @@
 // compare generations, drop the callback. The heap entry of a cancelled event
 // stays behind and is skipped when it surfaces at the top.
 //
+// FIFO timer lane. A timer re-armed at now + period, with one period, is
+// scheduled at times that never decrease. schedule_fifo() appends such an
+// event to a ring buffer instead of the heap: O(1) in, O(1) out. The lane
+// draws its sequence number from the same counter as the heap and uses the
+// same slot map, so every event, in either container, has a unique
+// (time, seq) key, and the lane is sorted by that key because both parts
+// only grow. pop() takes the smaller of the heap top and the lane front,
+// which is exactly the event a heap holding both would pop: the execution
+// order, the ids, the cancel semantics below and Stats do not depend on
+// which container an event went to.
+//
 // Cancellation semantics (tested in tests/sim/test_event_queue.cpp):
 //  - cancel() returns true exactly once, and only if the event had not yet
 //    fired: the slot is freed and the callback destroyed immediately.
@@ -59,6 +70,11 @@ class EventQueue {
   /// Schedule `fn` at absolute time `at`. Returns a handle for cancel().
   EventId schedule(Time at, EventFn fn);
 
+  /// schedule() through the FIFO lane (see the header comment).
+  /// Precondition: `at` is no earlier than the latest lane event still
+  /// queued — true of any timer re-armed at now + a fixed period.
+  EventId schedule_fifo(Time at, EventFn fn);
+
   /// Cancel a previously scheduled event in O(1). Returns false if the event
   /// has already fired, been cancelled, or never existed (see the semantics
   /// block above).
@@ -78,11 +94,17 @@ class EventQueue {
   /// id answers false from here on, and the id may be reused by a later
   /// schedule() (under a fresh generation).
   struct Popped {
-    Time time;
-    EventId id;
+    Time time = 0.0;
+    EventId id = kInvalidEventId;
     EventFn fn;
   };
   Popped pop();
+
+  /// pop() if the earliest live event is due at or before `until`: moves it
+  /// into `out` and returns true; otherwise leaves `out` alone and returns
+  /// false. Finds the earliest event once, where next_time() followed by
+  /// pop() would find it twice.
+  bool pop_until(Time until, Popped& out);
 
   /// Drop everything and zero the stats. Outstanding ids stay dead: slot
   /// generations survive and are bumped on reuse as usual.
@@ -98,7 +120,7 @@ class EventQueue {
     bool live = false;
   };
 
-  struct HeapEntry {
+  struct Entry {
     Time time;
     std::uint64_t seq;  // tie-break: FIFO among equal times
     std::uint32_t slot;
@@ -107,7 +129,7 @@ class EventQueue {
 
   // Min-heap ordering on (time, seq).
   struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -119,20 +141,33 @@ class EventQueue {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  [[nodiscard]] bool entry_live(const HeapEntry& e) const noexcept {
+  [[nodiscard]] bool entry_live(const Entry& e) const noexcept {
     const Slot& s = slots_[e.slot];
     return s.live && s.gen == e.gen;
   }
 
-  // Physically remove heap entries of cancelled events as they surface.
-  // Logically const: the live set is unchanged (heap_ is mutable
-  // bookkeeping, slots are not touched).
-  void drop_stale_tops() const;
+  [[nodiscard]] const Entry& lane_front() const noexcept { return lane_[lane_head_]; }
+
+  // Physically remove the entries of cancelled events as they surface at
+  // the heap top and the lane front, then return the earliest live entry
+  // (nullptr when empty). Logically const: the live set is unchanged (heap_
+  // and the lane cursor are mutable bookkeeping, slots are not touched).
+  const Entry* earliest() const;
+
+  // Common part of schedule() and schedule_fifo(): count, store the
+  // callback in a fresh slot, and stamp the next sequence number.
+  Entry admit(Time at, EventFn fn);
+  void lane_push(const Entry& e);
+  void lane_pop_front() const noexcept;
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
 
-  mutable std::vector<HeapEntry> heap_;
+  mutable std::vector<Entry> heap_;
+  // FIFO lane: a ring buffer whose capacity is zero or a power of two.
+  std::vector<Entry> lane_;
+  mutable std::size_t lane_head_ = 0;
+  mutable std::size_t lane_size_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFreeSlot;
   std::size_t live_count_ = 0;

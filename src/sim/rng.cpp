@@ -1,5 +1,7 @@
 #include "sim/rng.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -69,16 +71,46 @@ std::size_t Stream::zipf(std::size_t n, double s) noexcept {
 
 std::vector<std::size_t> Stream::sample_indices(std::size_t n, std::size_t k) noexcept {
   assert(k <= n);
-  // Partial Fisher-Yates over an index vector; O(n) setup, fine for the
-  // overlay sizes this simulator targets.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = i + static_cast<std::size_t>(below(n - i));
-    std::swap(idx[i], idx[j]);
+  // Partial Fisher-Yates: step i swaps position i with a uniform position
+  // j in [i, n) and emits what lands at i. The index vector stays virtual:
+  // position p holds p unless a swap displaced it, and only displaced
+  // positions are stored, in an open-addressing map of at least 2k slots
+  // (step i stores one entry, at j). So a call costs O(k) whatever n is.
+  // The stored keys are the uniform draws j, so their low bits serve as
+  // the hash. Up to 16 picks (every overlay degree d) the map lives on the
+  // stack and the returned vector is the only allocation.
+  constexpr std::size_t kEmpty = ~std::size_t{0};
+  constexpr std::size_t kStackSlots = 32;
+  std::vector<std::size_t> out;
+  out.reserve(k);
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(2 * k, 2));
+  const std::size_t mask = slots - 1;
+  std::size_t stack_keys[kStackSlots];
+  std::size_t stack_vals[kStackSlots];
+  std::vector<std::size_t> heap;
+  std::size_t* keys = stack_keys;
+  std::size_t* vals = stack_vals;
+  if (slots > kStackSlots) {
+    heap.resize(2 * slots);
+    keys = heap.data();
+    vals = keys + slots;
   }
-  idx.resize(k);
-  return idx;
+  std::fill_n(keys, slots, kEmpty);
+  const auto slot_of = [&](std::size_t p) {
+    std::size_t h = p & mask;
+    while (keys[h] != kEmpty && keys[h] != p) h = (h + 1) & mask;
+    return h;
+  };
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(below(n - i));
+    const std::size_t si = slot_of(i);
+    const std::size_t at_i = keys[si] == kEmpty ? i : vals[si];
+    const std::size_t sj = slot_of(j);
+    out.push_back(keys[sj] == kEmpty ? j : vals[sj]);
+    keys[sj] = j;
+    vals[sj] = at_i;
+  }
+  return out;
 }
 
 double pareto_shape_for_median(double xm, double median) noexcept {

@@ -123,7 +123,10 @@ class Stream {
     }
   }
 
-  /// Sample k distinct indices from [0, n) (k <= n), in random order.
+  /// Sample k distinct indices from [0, n) (k <= n), in random order: a
+  /// partial Fisher-Yates shuffle making k below() draws, O(k) time and
+  /// space whatever n is. The returned vector is the only allocation when
+  /// k <= 16.
   [[nodiscard]] std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k) noexcept;
 
  private:

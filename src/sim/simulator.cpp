@@ -14,9 +14,14 @@ EventId Simulator::schedule_at(Time at, EventFn fn) {
   return queue_.schedule(at, std::move(fn));
 }
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto ev = queue_.pop();
+EventId Simulator::schedule_fifo_in(Time delay, EventFn fn) {
+  assert(delay >= 0.0 && "negative delay");
+  return queue_.schedule_fifo(now_ + delay, std::move(fn));
+}
+
+bool Simulator::step_until(Time until) {
+  EventQueue::Popped ev;
+  if (!queue_.pop_until(until, ev)) return false;
   assert(ev.time >= now_);
   now_ = ev.time;
   ++executed_;
@@ -24,9 +29,10 @@ bool Simulator::step() {
   return true;
 }
 
+bool Simulator::step() { return step_until(kTimeInfinity); }
+
 Time Simulator::run_until(Time until) {
-  while (!queue_.empty() && queue_.next_time() <= until) {
-    step();
+  while (step_until(until)) {
   }
   if (now_ < until) now_ = until;
   return now_;

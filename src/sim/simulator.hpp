@@ -37,6 +37,13 @@ class Simulator {
   /// Schedule `fn` at absolute time `at` (at >= now()).
   EventId schedule_at(Time at, EventFn fn);
 
+  /// schedule_in() for a timer re-armed with one fixed `delay` (a probe
+  /// period): the event goes to the queue's FIFO lane, O(1) instead of a
+  /// heap push and pop, and runs in exactly the order schedule_in() would
+  /// give it. Every lane event must be due no earlier than the previous one
+  /// still pending (asserted); now() + a constant delay always is.
+  EventId schedule_fifo_in(Time delay, EventFn fn);
+
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Run until the event set drains or the clock would pass `until`.
@@ -61,6 +68,9 @@ class Simulator {
   void reset();
 
  private:
+  // Execute the earliest event if it is due at or before `until`.
+  bool step_until(Time until);
+
   EventQueue queue_;
   Time now_ = 0.0;
   std::uint64_t executed_ = 0;

@@ -164,6 +164,30 @@ class InvariantLinterRules(unittest.TestCase):
             self.assert_findings(proc, "finished-guard", 1)
             self.assertIn("src/net/conn.cpp:16:", proc.stdout)
 
+    def test_r4_covers_the_fifo_lane(self) -> None:
+        """A Pending closure armed through the FIFO timer lane needs the same
+        finished guard as one armed through the heap."""
+        with make_tree({
+            "src/core/runner.cpp": """\
+                #include <memory>
+                struct Pending { bool finished = false; };
+                struct Runner {
+                  std::shared_ptr<Pending> p;
+                  void schedule_fifo_in(double, void*);
+                  void arm();
+                };
+                void Runner::arm() {
+                  schedule_fifo_in(5.0, [p = p] { if (p->finished) return; });  // guarded
+                  schedule_fifo_in(5.0, [p = p] { p.reset(); });                // unguarded
+                  // lint-exempt(finished): the closure only drops its reference
+                  schedule_fifo_in(5.0, [p = p] { p.reset(); });
+                }
+            """,
+        }) as root:
+            proc = run_linter(root, "R4")
+            self.assert_findings(proc, "finished-guard", 1)
+            self.assertIn("src/core/runner.cpp:10:", proc.stdout)
+
     # --- R5 -------------------------------------------------------------
 
     def test_r5_flags_unguarded_state_transition(self) -> None:
@@ -207,6 +231,26 @@ class InvariantLinterRules(unittest.TestCase):
             proc = run_linter(root, "R6")
             self.assert_findings(proc, "cross-shard", 1)
             self.assertIn("src/model.cpp:4:", proc.stdout)
+
+    def test_r6_covers_the_fifo_lane(self) -> None:
+        """The FIFO timer lane has no mailbox: a direct
+        shard(x).schedule_fifo_in is flagged like schedule_in/at."""
+        with make_tree({
+            "bench/probe_model.cpp": """\
+                struct Sim { void schedule_fifo_in(double, void*); };
+                Sim& shard(unsigned);
+                void bad(unsigned target) {
+                  shard(target) . schedule_fifo_in(300.0, nullptr);
+                }
+                void affirmed(unsigned self) {
+                  // lint-exempt(cross-shard): the probe loop re-arms its own shard
+                  shard(self).schedule_fifo_in(300.0, nullptr);
+                }
+            """,
+        }) as root:
+            proc = run_linter(root, "R6")
+            self.assert_findings(proc, "cross-shard", 1)
+            self.assertIn("bench/probe_model.cpp:4:", proc.stdout)
 
     # --- R7 -------------------------------------------------------------
 

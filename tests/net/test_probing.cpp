@@ -122,7 +122,9 @@ TEST(Probing, ChurningNeighborScoresLowerThanStableOne) {
     ++total;
     if (probing.availability(id, best_true) >= probing.availability(id, worst_true)) ++agree;
   }
-  if (total < 3) GTEST_SKIP() << "not enough contrast in availabilities";
+  // The seed is fixed, so the contrast is too: fewer than three comparable
+  // nodes means the churn or the availability tracking regressed.
+  ASSERT_GE(total, 3) << "not enough contrast in availabilities";
   EXPECT_GT(static_cast<double>(agree) / total, 0.6)
       << "estimates should usually rank a stable neighbour above a churner";
 }

@@ -6,6 +6,7 @@
 // and asserts the count stays zero through a model-shaped workload.
 #include "sim/event_queue.hpp"
 #include "sim/sharded.hpp"
+#include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -126,6 +127,49 @@ TEST(EventQueueAllocGuard, SteadyStateSchedulesWithoutAllocating) {
       << "steady-state schedule/cancel/pop performed heap allocations";
   EXPECT_EQ(q.stats().callback_heap_allocs, 0u);
   EXPECT_GT(fired, 0u);
+}
+
+// The probe-heavy steady state: most events are fixed-period timers re-armed
+// through the FIFO lane (as every peer's probe loop is), mixed with heap
+// timers that are armed and cancelled. Once the lane's ring buffer, the heap
+// and the slot map have reached their peaks, nothing allocates.
+TEST(SimulatorAllocGuard, ProbeHeavySteadyStateDoesNotAllocate) {
+  p2panon::sim::Simulator sim;
+  constexpr std::uint32_t kProbers = 500;
+  constexpr double kPeriod = 300.0;
+
+  struct Prober {
+    p2panon::sim::Simulator* sim;
+    std::uint64_t probes = 0;
+    p2panon::sim::EventId doomed = p2panon::sim::kInvalidEventId;
+    void probe(std::uint32_t id) {
+      ++probes;
+      if (id % 8 == 0) {
+        sim->cancel(doomed);
+        doomed = sim->schedule_in(2.0 * kPeriod, [] {});
+      }
+      sim->schedule_fifo_in(kPeriod, [this, id] { probe(id); });
+    }
+  } prober{&sim};
+  for (std::uint32_t id = 0; id < kProbers; ++id) {
+    sim.schedule_at(kPeriod * id / kProbers, [&prober, id] { prober.probe(id); });
+  }
+
+  // Warm-up: the initial joins drain and every container reaches its peak.
+  sim.run_until(20.0 * kPeriod);
+  ASSERT_GT(prober.probes, 0u);
+  const std::uint64_t warm_probes = prober.probes;
+
+  // Counted pass. No gtest assertions inside the window (they allocate).
+  g_allocations.store(0);
+  g_counting.store(true);
+  sim.run_until(60.0 * kPeriod);
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "steady-state probe loop through the FIFO lane performed heap allocations";
+  EXPECT_EQ(prober.probes - warm_probes, 40u * kProbers);
+  EXPECT_EQ(sim.queue_stats().callback_heap_allocs, 0u);
 }
 
 // The same guarantee for the windowed sharded drive: after warm-up, per-shard

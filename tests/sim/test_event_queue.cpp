@@ -298,3 +298,172 @@ TEST(EventQueueStress, MillionEventScheduleCancelPop) {
   EXPECT_EQ(q.stats().callback_heap_allocs, 0u);
   EXPECT_GT(cancelled, static_cast<std::uint64_t>(kEvents) / 20);
 }
+
+// --- The FIFO timer lane: same order, ids, cancel semantics and Stats as
+// the heap alone.
+
+TEST(EventQueueFifoLane, RandomInterleavingMatchesHeapOnlyQueue) {
+  // Drive a lane-using queue and a heap-only reference with the same random
+  // mix of heap schedules, lane schedules (fixed-period re-arms, times
+  // never decrease), cancels, pops and bounded pops. Every id, every pop
+  // and every answer must agree.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    EventQueue lane, ref;
+    std::vector<int> lane_log, ref_log;
+    std::vector<p2panon::sim::EventId> ids;
+    std::uint64_t rng = seed;
+    auto next = [&rng] {
+      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+      return rng >> 33;
+    };
+    double now = 0.0;
+    double last_fifo = 0.0;
+    const double period = 10.0 + static_cast<double>(seed % 3);
+    int tag = 0;
+    for (int op = 0; op < 20'000; ++op) {
+      const std::uint64_t r = next();
+      switch (r % 6) {
+        case 0: {  // heap schedule, sometimes tied with a lane time
+          const double at = (r & 64) != 0 ? last_fifo : now + static_cast<double>(r % 37);
+          const int t = tag++;
+          const auto a = lane.schedule(std::max(at, now), [&lane_log, t] { lane_log.push_back(t); });
+          const auto b = ref.schedule(std::max(at, now), [&ref_log, t] { ref_log.push_back(t); });
+          ASSERT_EQ(a, b);
+          ids.push_back(a);
+          break;
+        }
+        case 1:
+        case 2: {  // lane re-arm at now + period
+          const double at = now + period;
+          ASSERT_GE(at, last_fifo);
+          last_fifo = at;
+          const int t = tag++;
+          const auto a = lane.schedule_fifo(at, [&lane_log, t] { lane_log.push_back(t); });
+          const auto b = ref.schedule(at, [&ref_log, t] { ref_log.push_back(t); });
+          ASSERT_EQ(a, b);
+          ids.push_back(a);
+          break;
+        }
+        case 3: {  // cancel a random issued id (may be spent already)
+          if (ids.empty()) break;
+          const auto id = ids[r % ids.size()];
+          ASSERT_EQ(lane.cancel(id), ref.cancel(id));
+          break;
+        }
+        case 4: {  // pop
+          ASSERT_EQ(lane.empty(), ref.empty());
+          if (lane.empty()) break;
+          auto a = lane.pop();
+          auto b = ref.pop();
+          ASSERT_EQ(a.time, b.time);
+          ASSERT_EQ(a.id, b.id);
+          now = a.time;
+          a.fn();
+          b.fn();
+          break;
+        }
+        default: {  // bounded pop, as Simulator::run_until drives it
+          const double until = now + static_cast<double>(r % 7);
+          EventQueue::Popped a;
+          const bool got = lane.pop_until(until, a);
+          ASSERT_EQ(got, ref.next_time() <= until);
+          if (!got) break;
+          auto b = ref.pop();
+          ASSERT_EQ(a.time, b.time);
+          ASSERT_EQ(a.id, b.id);
+          now = a.time;
+          a.fn();
+          b.fn();
+          break;
+        }
+      }
+      ASSERT_EQ(lane.size(), ref.size());
+      ASSERT_EQ(lane.next_time(), ref.next_time());
+      if (ids.size() > 512) ids.erase(ids.begin(), ids.begin() + 256);
+    }
+    while (!ref.empty()) {
+      auto a = lane.pop();
+      auto b = ref.pop();
+      ASSERT_EQ(a.id, b.id);
+      a.fn();
+      b.fn();
+    }
+    EXPECT_TRUE(lane.empty());
+    EXPECT_EQ(lane_log, ref_log);
+    EXPECT_EQ(lane.stats().scheduled, ref.stats().scheduled);
+    EXPECT_EQ(lane.stats().cancelled, ref.stats().cancelled);
+    EXPECT_EQ(lane.stats().fired, ref.stats().fired);
+    EXPECT_EQ(lane.stats().callback_heap_allocs, ref.stats().callback_heap_allocs);
+  }
+}
+
+TEST(EventQueueFifoLane, EqualTimesKeepInsertionOrderAcrossHeapAndLane) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_fifo(5.0, [&] { order.push_back(0); });
+  q.schedule(5.0, [&] { order.push_back(1); });
+  q.schedule_fifo(5.0, [&] { order.push_back(2); });
+  q.schedule(4.0, [&] { order.push_back(3); });
+  q.schedule_fifo(6.0, [&] { order.push_back(4); });
+  q.schedule(5.0, [&] { order.push_back(5); });
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{3, 0, 1, 2, 5, 4}));
+}
+
+TEST(EventQueueFifoLane, CancelAfterFireReturnsFalse) {
+  EventQueue q;
+  const auto id = q.schedule_fifo(1.0, [] {});
+  q.pop();
+  EXPECT_FALSE(q.cancel(id));
+}
+
+TEST(EventQueueFifoLane, DoubleCancelReturnsFalseAndSkipsTheEntry) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto id = q.schedule_fifo(1.0, [&] { order.push_back(1); });
+  q.schedule_fifo(2.0, [&] { order.push_back(2); });
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_FALSE(q.cancel(id));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(q.stats().cancelled, 1u);
+}
+
+TEST(EventQueueFifoLane, CancelInsideOwnCallbackReturnsFalse) {
+  EventQueue q;
+  p2panon::sim::EventId self = p2panon::sim::kInvalidEventId;
+  bool cancel_result = true;
+  self = q.schedule_fifo(1.0, [&] { cancel_result = q.cancel(self); });
+  q.pop().fn();
+  EXPECT_FALSE(cancel_result);
+}
+
+TEST(EventQueueFifoLane, PreClearIdsStayDeadAfterClear) {
+  EventQueue q;
+  const auto id = q.schedule_fifo(7.0, [] {});
+  q.clear();
+  EXPECT_FALSE(q.cancel(id));
+  bool fired = false;
+  // After clear() the lane is empty, so an earlier time is allowed again.
+  const auto fresh = q.schedule_fifo(1.0, [&] { fired = true; });
+  EXPECT_NE(fresh, id);
+  EXPECT_FALSE(q.cancel(id));  // still the pre-clear generation
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().fn();
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventQueueFifoLane, GrowsPastItsInitialCapacityInOrder) {
+  // More pending lane entries than the first ring allocation holds, with
+  // the ring's head mid-buffer when it grows.
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 40; ++i) q.schedule_fifo(i, [&order, i] { order.push_back(i); });
+  for (int i = 0; i < 30; ++i) q.pop().fn();
+  for (int i = 40; i < 300; ++i) q.schedule_fifo(i, [&order, i] { order.push_back(i); });
+  while (!q.empty()) q.pop().fn();
+  ASSERT_EQ(order.size(), 300u);
+  for (int i = 0; i < 300; ++i) EXPECT_EQ(order[i], i);
+}

@@ -274,6 +274,62 @@ TEST(Stream, SampleIndicesZero) {
   EXPECT_TRUE(s.sample_indices(5, 0).empty());
 }
 
+namespace {
+
+// The dense partial Fisher-Yates that sample_indices() replaced: an
+// explicit identity vector of n indices, k swaps, truncate.
+std::vector<std::size_t> dense_sample_reference(rng::Stream& s, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(s.below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+}  // namespace
+
+TEST(Stream, SampleIndicesMatchesDenseFisherYates) {
+  // Same output and same number of draws (the next value off the stream
+  // agrees) on both sides of the stack-map cutoff (k = 16), at the edges
+  // k = 0, k = 1 and k = n, and at a population far larger than k.
+  constexpr std::size_t kCut = 16;
+  const std::vector<std::size_t> ns = {1, 2, 3, 5, kCut, kCut + 1, kCut + 2, 40, 97, 1000};
+  std::uint64_t seed = 1;
+  for (std::size_t n : ns) {
+    std::vector<std::size_t> ks = {0, 1, n / 2, n - 1, n, kCut - 1, kCut, kCut + 1};
+    for (std::size_t k : ks) {
+      if (k > n) continue;
+      for (int rep = 0; rep < 8; ++rep, ++seed) {
+        rng::Stream fast(seed), ref(seed);
+        EXPECT_EQ(fast.sample_indices(n, k), dense_sample_reference(ref, n, k))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        EXPECT_EQ(fast.next_u64(), ref.next_u64()) << "draw count differs at n=" << n
+                                                    << " k=" << k;
+      }
+    }
+  }
+  for (std::size_t k : {std::size_t{10}, kCut, kCut + 1, std::size_t{50'000}}) {
+    rng::Stream fast(77), ref(77);
+    EXPECT_EQ(fast.sample_indices(1'000'000, k), dense_sample_reference(ref, 1'000'000, k));
+    EXPECT_EQ(fast.next_u64(), ref.next_u64());
+  }
+}
+
+TEST(Stream, SampleIndicesSparsePathHandlesRepeatedDisplacement) {
+  // n = k + small: most draws land on already-displaced positions, the
+  // sparse map's update-in-place branch, with the map on the stack (k = 16)
+  // and on the heap (k = 300).
+  for (std::uint64_t seed = 100; seed < 400; ++seed) {
+    rng::Stream fast(seed), ref(seed);
+    EXPECT_EQ(fast.sample_indices(18, 16), dense_sample_reference(ref, 18, 16)) << seed;
+    EXPECT_EQ(fast.sample_indices(302, 300), dense_sample_reference(ref, 302, 300)) << seed;
+    EXPECT_EQ(fast.next_u64(), ref.next_u64());
+  }
+}
+
 TEST(ParetoShape, MedianFormulaInverts) {
   // alpha derived from (xm, median) must map the analytic median back.
   const double xm = 300.0;  // 5 min in seconds

@@ -211,3 +211,40 @@ TEST(ShardedSimulator, DeterministicAcrossPoolSizes) {
     EXPECT_EQ(msgs, serial_msgs);
   }
 }
+
+TEST(ShardedSimulator, FifoLaneTimersRunOnTheirShardInHeapOrder) {
+  // A periodic timer on each shard through the lane, beside heap events at
+  // the same instants: every shard must run them exactly as posting the
+  // re-arm at now + period would.
+  const auto run = [](bool lane) {
+    ShardedSimulator engine(2, 7.0, nullptr);
+    std::vector<std::vector<Fired>> logs(2);
+    struct Timer {
+      ShardedSimulator* engine;
+      std::vector<std::vector<Fired>>* logs;
+      bool lane;
+      void tick(ShardedSimulator::ShardId s, int n) {
+        const Time now = engine->shard(s).now();
+        (*logs)[s].push_back({n, now});
+        if (n == 12) return;
+        if (lane) {
+          engine->shard(s).schedule_fifo_in(5.0, [this, s, n] { tick(s, n + 1); });
+        } else {
+          engine->post(s, s, now + 5.0, [this, s, n] { tick(s, n + 1); });
+        }
+      }
+    } timer{&engine, &logs, lane};
+    for (ShardedSimulator::ShardId s = 0; s < 2; ++s) {
+      engine.post(s, s, 0.0, [&timer, s] { timer.tick(s, 0); });
+      for (int k = 1; k <= 12; ++k) {
+        const Time at = 5.0 * k;
+        engine.post(s, s, at, [&logs, s, at] { logs[s].push_back({-1, at}); });
+      }
+    }
+    engine.run_until(100.0);
+    return logs;
+  };
+  const auto with_lane = run(true);
+  EXPECT_EQ(with_lane, run(false));
+  EXPECT_EQ(with_lane[1].size(), 25u);
+}

@@ -39,7 +39,8 @@ R4 finished guard
     generation counters) or delegate to a method that does — otherwise a
     resolved connection gets double-completed or a dead path re-formed. The
     rule: in any file mentioning ``shared_ptr<Pending>``, every
-    ``schedule_in``/``schedule_at`` lambda capturing ``p`` must mention
+    ``schedule_in``/``schedule_at``/``schedule_fifo_in`` (the FIFO timer
+    lane) lambda capturing ``p`` must mention
     ``finished`` in its body, or call a method whose out-of-class definition
     opens with a finished guard. Waive with
     ``// lint-exempt(finished): <reason>`` on or above the call line.
@@ -75,7 +76,8 @@ R6 mailbox discipline
     compiles fine either way and is bitwise-correct at K = 1, so a direct
     cross-shard schedule is exactly the bug no test at K = 1 can see — and at
     K > 1 it is a data race on the peer's event queue. The rule: in ``src/``
-    and ``bench/``, any ``shard(...).schedule_in/at`` call site must carry
+    and ``bench/``, any ``shard(...).schedule_in/at/fifo_in`` call site
+    (``schedule_fifo_in`` is the FIFO timer lane) must carry
     ``// lint-exempt(cross-shard): <reason>`` on or above the line affirming
     the target shard is the caller's own. (Engine internals index
     ``shards_[...]`` directly and model code routes through owner-checked
@@ -374,7 +376,7 @@ def check_epoch_contract(repo: pathlib.Path) -> List[str]:
 # --------------------------------------------------------------------------
 
 PENDING_FILE_RE = re.compile(r"shared_ptr\s*<\s*Pending\s*>")
-SCHEDULE_CALL_RE = re.compile(r"\bschedule_(?:in|at)\s*\(")
+SCHEDULE_CALL_RE = re.compile(r"\bschedule_(?:in|at|fifo_in)\s*\(")
 FINISHED_EXEMPT_RE = re.compile(r"lint-exempt\(finished\):\s*\S")
 CAPTURES_P_RE = re.compile(r"(?<![\w.])p\b")
 
@@ -497,12 +499,13 @@ def check_settlement_transitions(repo: pathlib.Path) -> List[str]:
 # --------------------------------------------------------------------------
 
 SHARD_SCHEDULE_DIRS = ("src", "bench")
-SHARD_SCHEDULE_RE = re.compile(r"\bshard\s*\([^()]*\)\s*\.\s*schedule_(?:in|at)\s*\(")
+SHARD_SCHEDULE_RE = re.compile(
+    r"\bshard\s*\([^()]*\)\s*\.\s*schedule_(?:in|at|fifo_in)\s*\(")
 CROSS_SHARD_EXEMPT_RE = re.compile(r"lint-exempt\(cross-shard\):\s*\S")
 
 
 def check_shard_mailbox_discipline(repo: pathlib.Path) -> List[str]:
-    """Flag every ``shard(...).schedule_in/at`` call in src/ and bench/: the
+    """Flag every ``shard(...).schedule_in/at/fifo_in`` call in src/ and bench/: the
     compiler cannot tell a shard-local schedule from a cross-shard one, and
     only the former is legal inside a window (the latter is a data race at
     K > 1 that K = 1 tests cannot catch). Route cross-shard effects through
