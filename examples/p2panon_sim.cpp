@@ -38,9 +38,9 @@ void usage(const char* prog) {
       << "contract & routing:\n"
       << "  --strategy S       random | utility1 | utility2 | spne (default utility1)\n"
       << "  --tau T            P_r = tau * P_f (default 2; paper sweeps 0.5..4)\n"
-      << "  --w-selectivity W  edge-quality history weight w_s (default 0.5)\n"
+      << "  --w-selectivity W  edge-quality history weight w_s in [0,1] (default 0.5)\n"
       << "  --termination T    crowds | ttl (default crowds)\n"
-      << "  --p-forward P      Crowds forwarding probability (default 0.75)\n"
+      << "  --p-forward P      Crowds forwarding probability in (0,1) (default 0.75)\n"
       << "  --ttl H            hop bound for ttl termination (default 4)\n"
       << "  --cid-rotation E   rotate the connection-set id every E connections\n"
       << "  --drop P           malicious payload-drop probability (default 0)\n"
@@ -146,6 +146,15 @@ int main(int argc, char** argv) {
     }
   }
   if (!args.ok) return 2;
+  // Written as negated ranges so a NaN fails them too.
+  if (!(cfg.weights.w_selectivity >= 0.0 && cfg.weights.w_selectivity <= 1.0)) {
+    std::cerr << "--w-selectivity must be in [0,1] (w_availability = 1 - w_selectivity)\n";
+    return 2;
+  }
+  if (!(cfg.p_forward > 0.0 && cfg.p_forward < 1.0)) {
+    std::cerr << "--p-forward must be in (0,1)\n";
+    return 2;
+  }
   if (cfg.overlay.node_count < 2 || cfg.overlay.degree >= cfg.overlay.node_count ||
       cfg.overlay.malicious_fraction < 0.0 || cfg.overlay.malicious_fraction > 1.0 ||
       replicates == 0) {

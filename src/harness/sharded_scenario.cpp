@@ -149,7 +149,7 @@ class World {
 
     if (probe_loop_active_[id] == 0) {
       probe_loop_active_[id] = 1;
-      post(s, s, now + cfg_.probe_period, [this, id] { probe_tick(id); });
+      post_probe(s, id);
     }
     if (conn_loop_started_[id] == 0) {
       conn_loop_started_[id] = 1;
@@ -192,9 +192,19 @@ class World {
       probe_loop_active_[id] = 0;  // suspend; restarts on the next join
       return;
     }
-    const std::uint32_t s = partition_.shard_of(id);
     probing_->probe(id, published_);
-    post(s, s, local_sim(s).now() + cfg_.probe_period, [this, id] { probe_tick(id); });
+    post_probe(partition_.shard_of(id), id);
+  }
+
+  // Probe timers are re-armed one period after now, so they go through the
+  // owner shard's FIFO lane.
+  void post_probe(std::uint32_t s, NodeId id) {
+    if (sharded_ != nullptr) {
+      // lint-exempt(cross-shard): the probe loop re-arms its own shard
+      sharded_->shard(s).schedule_fifo_in(cfg_.probe_period, [this, id] { probe_tick(id); });
+    } else {
+      serial_->schedule_fifo_in(cfg_.probe_period, [this, id] { probe_tick(id); });
+    }
   }
 
   // ---- traffic ----------------------------------------------------------

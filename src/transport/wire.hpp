@@ -19,10 +19,13 @@
 //     is *gone*, not crashed — suspicion learns nothing from it).
 //
 // Every struct is equality-comparable so the codec round-trip tests (and
-// SimTransport's per-send self-check) can assert bit-exactness.
+// SimTransport's per-send self-check) can assert bit-exactness, and names
+// its MsgType as `kType` so the codec picks the type tag and the parser at
+// compile time.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -66,6 +69,7 @@ enum class MsgType : std::uint16_t {
 /// One hop of the in-sim setup protocol: the payload of a setup leg moving
 /// forward, reaching the responder, or the confirmation retracing a hop.
 struct LegMsg {
+  static constexpr MsgType kType = MsgType::kLeg;
   net::PairId pair = net::kInvalidPair;
   std::uint32_t conn_index = 0;
   std::uint32_t attempt = 0;
@@ -80,6 +84,7 @@ struct LegMsg {
 };
 
 struct AckMsg {
+  static constexpr MsgType kType = MsgType::kAck;
   net::PairId pair = net::kInvalidPair;
   std::uint32_t conn_index = 0;
   std::uint64_t tid = 0;
@@ -88,6 +93,7 @@ struct AckMsg {
 };
 
 struct NackMsg {
+  static constexpr MsgType kType = MsgType::kNack;
   net::PairId pair = net::kInvalidPair;
   std::uint32_t conn_index = 0;
   std::uint32_t attempt = 0;
@@ -100,6 +106,7 @@ struct NackMsg {
 /// One keepalive hop: generation + sequence identify the probe, `index` is
 /// its position on the path, `echo` marks the return direction.
 struct DataMsg {
+  static constexpr MsgType kType = MsgType::kData;
   net::PairId pair = net::kInvalidPair;
   std::uint32_t conn_index = 0;
   std::uint32_t gen = 0;
@@ -114,6 +121,7 @@ struct DataMsg {
 
 /// A forwarder redeems one receipt against an open settlement.
 struct ClaimMsg {
+  static constexpr MsgType kType = MsgType::kClaim;
   std::uint32_t sid = 0;  ///< payment::SettlementId
   std::uint32_t claimant = 0;  ///< payment::AccountId
   payment::ForwardReceipt receipt;
@@ -122,18 +130,21 @@ struct ClaimMsg {
 };
 
 struct ClaimReplyMsg {
+  static constexpr MsgType kType = MsgType::kClaimReply;
   std::uint8_t result = 0;  ///< payment::ClaimResult
 
   friend bool operator==(const ClaimReplyMsg&, const ClaimReplyMsg&) = default;
 };
 
 struct CloseMsg {
+  static constexpr MsgType kType = MsgType::kClose;
   std::uint32_t sid = 0;
 
   friend bool operator==(const CloseMsg&, const CloseMsg&) = default;
 };
 
 struct CloseReplyMsg {
+  static constexpr MsgType kType = MsgType::kCloseReply;
   std::uint8_t ok = 0;
 
   friend bool operator==(const CloseReplyMsg&, const CloseReplyMsg&) = default;
@@ -153,6 +164,7 @@ struct WirePathRecord {
 /// Initiator -> bank: fund an escrow and open the settlement with the
 /// completed-connection records.
 struct OpenSettlementMsg {
+  static constexpr MsgType kType = MsgType::kOpenSettlement;
   net::PairId pair = net::kInvalidPair;
   std::uint32_t initiator_account = 0;
   payment::Amount escrow_milli = 0;
@@ -164,6 +176,7 @@ struct OpenSettlementMsg {
 };
 
 struct OpenReplyMsg {
+  static constexpr MsgType kType = MsgType::kOpenReply;
   std::uint8_t ok = 0;
   std::uint32_t sid = 0;
 
@@ -174,6 +187,7 @@ struct OpenReplyMsg {
 /// the paper's receipt chain — here the initiator distributes the MAC'd
 /// statements it validated, and the forwarder claims directly at the bank).
 struct ContractMsg {
+  static constexpr MsgType kType = MsgType::kContract;
   std::uint32_t sid = 0;
   std::uint16_t bank_port = 0;  ///< where to claim (loopback TCP)
   payment::ForwardReceipt receipt;
@@ -182,6 +196,7 @@ struct ContractMsg {
 };
 
 struct ContractAckMsg {
+  static constexpr MsgType kType = MsgType::kContractAck;
   std::uint32_t sid = 0;
 
   friend bool operator==(const ContractAckMsg&, const ContractAckMsg&) = default;
@@ -190,12 +205,14 @@ struct ContractAckMsg {
 // --- Membership / liveness plane -------------------------------------------
 
 struct HelloMsg {
+  static constexpr MsgType kType = MsgType::kHello;
   net::NodeId node = net::kInvalidNode;
 
   friend bool operator==(const HelloMsg&, const HelloMsg&) = default;
 };
 
 struct HelloReplyMsg {
+  static constexpr MsgType kType = MsgType::kHelloReply;
   std::uint32_t account = 0;
   std::uint64_t mac_key = 0;
   payment::Amount balance_milli = 0;
@@ -207,6 +224,7 @@ struct HelloReplyMsg {
 /// receiver's position; it forwards to path[hop + 1] and acks back once the
 /// downstream ack arrived (acks cascade, giving an end-to-end confirm).
 struct SetupMsg {
+  static constexpr MsgType kType = MsgType::kSetup;
   net::PairId pair = net::kInvalidPair;
   std::uint32_t conn_index = 0;
   std::uint32_t hop = 0;
@@ -216,6 +234,7 @@ struct SetupMsg {
 };
 
 struct SetupAckMsg {
+  static constexpr MsgType kType = MsgType::kSetupAck;
   net::PairId pair = net::kInvalidPair;
   std::uint32_t conn_index = 0;
 
@@ -223,12 +242,14 @@ struct SetupAckMsg {
 };
 
 struct HeartbeatMsg {
+  static constexpr MsgType kType = MsgType::kHeartbeat;
   std::uint64_t nonce = 0;
 
   friend bool operator==(const HeartbeatMsg&, const HeartbeatMsg&) = default;
 };
 
 struct HeartbeatAckMsg {
+  static constexpr MsgType kType = MsgType::kHeartbeatAck;
   std::uint64_t nonce = 0;
 
   friend bool operator==(const HeartbeatAckMsg&, const HeartbeatAckMsg&) = default;
@@ -238,6 +259,7 @@ struct HeartbeatAckMsg {
 /// sends nothing — the difference is exactly the announced-liveness split
 /// the decision layer already models.
 struct ByeMsg {
+  static constexpr MsgType kType = MsgType::kBye;
   std::uint16_t port = 0;  ///< the departing peer's listen port
 
   friend bool operator==(const ByeMsg&, const ByeMsg&) = default;
@@ -246,12 +268,14 @@ struct ByeMsg {
 /// Driver -> bank: run the deadline sweep and write the reconciliation
 /// report (end of a chaos run).
 struct SweepMsg {
+  static constexpr MsgType kType = MsgType::kSweep;
   std::uint8_t write_report = 0;
 
   friend bool operator==(const SweepMsg&, const SweepMsg&) = default;
 };
 
 struct SweepReplyMsg {
+  static constexpr MsgType kType = MsgType::kSweepReply;
   std::uint32_t terminalised = 0;
 
   friend bool operator==(const SweepReplyMsg&, const SweepReplyMsg&) = default;
@@ -264,32 +288,7 @@ using WireMessage =
                  ByeMsg, SweepMsg, SweepReplyMsg>;
 
 [[nodiscard]] constexpr MsgType type_of(const WireMessage& m) noexcept {
-  struct Visitor {
-    constexpr MsgType operator()(const LegMsg&) const { return MsgType::kLeg; }
-    constexpr MsgType operator()(const AckMsg&) const { return MsgType::kAck; }
-    constexpr MsgType operator()(const NackMsg&) const { return MsgType::kNack; }
-    constexpr MsgType operator()(const DataMsg&) const { return MsgType::kData; }
-    constexpr MsgType operator()(const ClaimMsg&) const { return MsgType::kClaim; }
-    constexpr MsgType operator()(const ClaimReplyMsg&) const { return MsgType::kClaimReply; }
-    constexpr MsgType operator()(const CloseMsg&) const { return MsgType::kClose; }
-    constexpr MsgType operator()(const CloseReplyMsg&) const { return MsgType::kCloseReply; }
-    constexpr MsgType operator()(const OpenSettlementMsg&) const {
-      return MsgType::kOpenSettlement;
-    }
-    constexpr MsgType operator()(const OpenReplyMsg&) const { return MsgType::kOpenReply; }
-    constexpr MsgType operator()(const ContractMsg&) const { return MsgType::kContract; }
-    constexpr MsgType operator()(const ContractAckMsg&) const { return MsgType::kContractAck; }
-    constexpr MsgType operator()(const HelloMsg&) const { return MsgType::kHello; }
-    constexpr MsgType operator()(const HelloReplyMsg&) const { return MsgType::kHelloReply; }
-    constexpr MsgType operator()(const SetupMsg&) const { return MsgType::kSetup; }
-    constexpr MsgType operator()(const SetupAckMsg&) const { return MsgType::kSetupAck; }
-    constexpr MsgType operator()(const HeartbeatMsg&) const { return MsgType::kHeartbeat; }
-    constexpr MsgType operator()(const HeartbeatAckMsg&) const { return MsgType::kHeartbeatAck; }
-    constexpr MsgType operator()(const ByeMsg&) const { return MsgType::kBye; }
-    constexpr MsgType operator()(const SweepMsg&) const { return MsgType::kSweep; }
-    constexpr MsgType operator()(const SweepReplyMsg&) const { return MsgType::kSweepReply; }
-  };
-  return std::visit(Visitor{}, m);
+  return std::visit([](const auto& alt) { return std::decay_t<decltype(alt)>::kType; }, m);
 }
 
 }  // namespace p2panon::transport::wire

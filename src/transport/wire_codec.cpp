@@ -1,7 +1,11 @@
 #include "transport/wire_codec.hpp"
 
 #include <array>
+#include <bit>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "transport/crc32.hpp"
 
@@ -11,347 +15,253 @@ namespace {
 
 using namespace wire;
 
-// --- Little-endian primitive writers/readers -------------------------------
+// --- Little-endian fixed-width stores and loads -----------------------------
 
-class Writer {
+template <std::unsigned_integral T>
+void store_le(std::byte* p, T v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) p[i] = static_cast<std::byte>(v >> (8 * i));
+  }
+}
+
+template <std::unsigned_integral T>
+[[nodiscard]] T load_le(const std::byte* p) noexcept {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+  }
+  return v;
+}
+
+// --- Per-type payload layouts ------------------------------------------------
+//
+// Each message lists its fields once, in wire order; the same list drives the
+// sizing pass, the in-place writer and the reader. An integer travels at its
+// declared width (a signed one as its two's-complement bits); a node list as
+// a u32 count plus u32 ids; a receipt as receipt_words() plus the MAC; a
+// record list as a u32 count plus each record's own fields.
+
+template <typename M, typename T>
+concept Of = std::same_as<std::remove_const_t<M>, T>;
+
+template <typename F, Of<LegMsg> M>
+void fields(F& f, M& m) {
+  f(m.pair, m.conn_index, m.attempt, m.tid, m.kind, m.holder, m.next, m.forwarders, m.index);
+}
+template <typename F, Of<AckMsg> M>
+void fields(F& f, M& m) { f(m.pair, m.conn_index, m.tid); }
+template <typename F, Of<NackMsg> M>
+void fields(F& f, M& m) { f(m.pair, m.conn_index, m.attempt); }
+template <typename F, Of<DataMsg> M>
+void fields(F& f, M& m) { f(m.pair, m.conn_index, m.gen, m.seq, m.index, m.echo); }
+template <typename F, Of<ClaimMsg> M>
+void fields(F& f, M& m) { f(m.sid, m.claimant, m.receipt); }
+template <typename F, Of<ClaimReplyMsg> M>
+void fields(F& f, M& m) { f(m.result); }
+template <typename F, Of<CloseMsg> M>
+void fields(F& f, M& m) { f(m.sid); }
+template <typename F, Of<CloseReplyMsg> M>
+void fields(F& f, M& m) { f(m.ok); }
+template <typename F, Of<WirePathRecord> M>
+void fields(F& f, M& m) { f(m.conn_index, m.entry, m.exit, m.forwarders); }
+template <typename F, Of<OpenSettlementMsg> M>
+void fields(F& f, M& m) {
+  f(m.pair, m.initiator_account, m.escrow_milli, m.forwarding_benefit_milli,
+    m.routing_benefit_milli, m.records);
+}
+template <typename F, Of<OpenReplyMsg> M>
+void fields(F& f, M& m) { f(m.ok, m.sid); }
+template <typename F, Of<ContractMsg> M>
+void fields(F& f, M& m) { f(m.sid, m.bank_port, m.receipt); }
+template <typename F, Of<ContractAckMsg> M>
+void fields(F& f, M& m) { f(m.sid); }
+template <typename F, Of<HelloMsg> M>
+void fields(F& f, M& m) { f(m.node); }
+template <typename F, Of<HelloReplyMsg> M>
+void fields(F& f, M& m) { f(m.account, m.mac_key, m.balance_milli); }
+template <typename F, Of<SetupMsg> M>
+void fields(F& f, M& m) { f(m.pair, m.conn_index, m.hop, m.path); }
+template <typename F, Of<SetupAckMsg> M>
+void fields(F& f, M& m) { f(m.pair, m.conn_index); }
+template <typename F, Of<HeartbeatMsg> M>
+void fields(F& f, M& m) { f(m.nonce); }
+template <typename F, Of<HeartbeatAckMsg> M>
+void fields(F& f, M& m) { f(m.nonce); }
+template <typename F, Of<ByeMsg> M>
+void fields(F& f, M& m) { f(m.port); }
+template <typename F, Of<SweepMsg> M>
+void fields(F& f, M& m) { f(m.write_report); }
+template <typename F, Of<SweepReplyMsg> M>
+void fields(F& f, M& m) { f(m.terminalised); }
+
+/// Bounds a decoded message must meet beyond its field grammar.
+template <typename T>
+bool within_bounds(const T&) { return true; }
+bool within_bounds(const SetupMsg& m) { return m.path.size() <= kMaxWirePath; }
+
+// Decoder sanity bounds on hostile count fields: no giant reservations.
+inline constexpr std::uint32_t kMaxNodeList = kMaxWirePath * 4;
+inline constexpr std::uint32_t kMaxRecords = 4096;
+
+// --- Encode: a sizing pass, then in-place writes ------------------------------
+
+class Sizer {
  public:
-  explicit Writer(std::vector<std::byte>& out) : out_(out) {}
-
-  void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
-  void u16(std::uint16_t v) { put(v); }
-  void u32(std::uint32_t v) { put(v); }
-  void u64(std::uint64_t v) { put(v); }
-  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
-
-  void node_list(const std::vector<net::NodeId>& nodes) {
-    u32(static_cast<std::uint32_t>(nodes.size()));
-    for (const net::NodeId n : nodes) u32(n);
-  }
-
-  void receipt(const payment::ForwardReceipt& r) {
-    // The canonical enumeration (payment/receipt.hpp) IS the wire layout.
-    for (const auto w : payment::receipt_words(r)) u64(w);
-    u64(r.mac);
-  }
+  template <typename... T>
+  void operator()(const T&... v) noexcept { (add(v), ...); }
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
  private:
-  template <typename T>
-  void put(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-    }
+  template <std::integral T>
+  void add(T) noexcept { n_ += sizeof(T); }
+  void add(const std::vector<net::NodeId>& nodes) noexcept { n_ += 4 + 4 * nodes.size(); }
+  void add(const payment::ForwardReceipt&) noexcept { n_ += 8 * (payment::kReceiptWordCount + 1); }
+  void add(const std::vector<WirePathRecord>& records) noexcept {
+    n_ += 4;
+    for (const WirePathRecord& rec : records) fields(*this, rec);
   }
 
-  std::vector<std::byte>& out_;
+  std::size_t n_ = 0;
 };
+
+/// Writes into storage the sizing pass already reserved: no capacity checks,
+/// one fixed-width store per field.
+class Writer {
+ public:
+  explicit Writer(std::byte* p) noexcept : p_(p) {}
+  template <typename... T>
+  void operator()(const T&... v) noexcept { (put(v), ...); }
+
+ private:
+  template <std::integral T>
+  void put(T v) noexcept {
+    store_le(p_, static_cast<std::make_unsigned_t<T>>(v));
+    p_ += sizeof(T);
+  }
+  void put(const std::vector<net::NodeId>& nodes) noexcept {
+    put(static_cast<std::uint32_t>(nodes.size()));
+    for (const net::NodeId n : nodes) put(n);
+  }
+  void put(const payment::ForwardReceipt& r) noexcept {
+    // The canonical enumeration (payment/receipt.hpp) IS the wire layout.
+    for (const auto w : payment::receipt_words(r)) put(w);
+    put(r.mac);
+  }
+  void put(const std::vector<WirePathRecord>& records) noexcept {
+    put(static_cast<std::uint32_t>(records.size()));
+    for (const WirePathRecord& rec : records) fields(*this, rec);
+  }
+
+  std::byte* p_;
+};
+
+template <typename T>
+std::size_t encode_frame(const T& m, std::vector<std::byte>& out) {
+  Sizer sizer;
+  fields(sizer, m);
+  const std::size_t payload = sizer.size();
+  const std::size_t start = out.size();
+  out.resize(start + kFrameOverhead + payload);  // appends: streaming callers batch frames
+  std::byte* const frame = out.data() + start;
+  Writer w(frame);
+  w(kWireMagic, kWireVersion, static_cast<std::uint16_t>(T::kType),
+    static_cast<std::uint32_t>(payload));
+  fields(w, m);
+  w(crc32(std::span<const std::byte>(frame, kHeaderSize + payload)));
+  return kFrameOverhead + payload;
+}
+
+// --- Decode: fixed-width reads, one parser per type tag ------------------------
 
 class Reader {
  public:
-  explicit Reader(std::span<const std::byte> data) : data_(data) {}
+  explicit Reader(std::span<const std::byte> data) noexcept
+      : p_(data.data()), end_(data.data() + data.size()) {}
 
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] bool exhausted() const noexcept { return ok_ && pos_ == data_.size(); }
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(get(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(get(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
-  std::uint64_t u64() { return get(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(get(8)); }
-
-  bool node_list(std::vector<net::NodeId>& nodes) {
-    const std::uint32_t count = u32();
-    if (!ok_ || count > kMaxWirePath * 4) {  // sanity bound: no giant allocs
-      ok_ = false;
-      return false;
-    }
-    if ((data_.size() - pos_) / 4 < count) {  // checked before reserving
-      ok_ = false;
-      return false;
-    }
-    nodes.clear();
-    nodes.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) nodes.push_back(u32());
-    return ok_;
-  }
-
-  payment::ForwardReceipt receipt() {
-    std::array<payment::crypto::u64, payment::kReceiptWordCount> words{};
-    for (auto& w : words) w = u64();
-    const payment::crypto::u64 mac = u64();
-    return payment::receipt_from_words(words, mac);
-  }
+  /// Read each field in order; after the first short read every later one
+  /// fails too (the message is discarded, so field values no longer matter).
+  template <typename... T>
+  void operator()(T&... v) { (get(v), ...); }
+  [[nodiscard]] bool exhausted() const noexcept { return ok_ && p_ == end_; }
 
  private:
-  std::uint64_t get(std::size_t n) {
-    if (!ok_ || data_.size() - pos_ < n) {
-      ok_ = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += n;
-    return v;
+  [[nodiscard]] std::size_t left() const noexcept { return static_cast<std::size_t>(end_ - p_); }
+  void fail() noexcept {
+    ok_ = false;
+    p_ = end_;
   }
 
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
+  template <std::integral T>
+  void get(T& v) noexcept {
+    using U = std::make_unsigned_t<T>;
+    if (left() < sizeof(U)) return fail();
+    v = static_cast<T>(load_le<U>(p_));
+    p_ += sizeof(U);
+  }
+  void get(std::vector<net::NodeId>& nodes) {
+    std::uint32_t count = 0;
+    get(count);
+    if (!ok_ || count > kMaxNodeList || left() / 4 < count) return fail();  // before resizing
+    nodes.resize(count);
+    for (net::NodeId& n : nodes) get(n);
+  }
+  void get(payment::ForwardReceipt& r) noexcept {
+    std::array<payment::crypto::u64, payment::kReceiptWordCount> words{};
+    payment::crypto::u64 mac = 0;
+    for (auto& w : words) get(w);
+    get(mac);
+    r = payment::receipt_from_words(words, mac);
+    // Words travel as u64 but several fields are narrower: a word that does
+    // not fit its field would decode to a receipt that re-encodes to other
+    // bytes, so it is malformed rather than silently truncated.
+    if (payment::receipt_words(r) != words) fail();
+  }
+  void get(std::vector<WirePathRecord>& records) {
+    std::uint32_t count = 0;
+    get(count);
+    // A record is at least four u32s (ids plus an empty node list).
+    if (!ok_ || count > kMaxRecords || left() / 16 < count) return fail();
+    records.reserve(count);
+    for (std::uint32_t i = 0; i < count && ok_; ++i) fields(*this, records.emplace_back());
+  }
+
+  const std::byte* p_;
+  const std::byte* end_;
   bool ok_ = true;
 };
 
-// --- Per-type payload layouts ----------------------------------------------
-
-void encode_payload(Writer& w, const LegMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u32(m.attempt);
-  w.u64(m.tid);
-  w.u8(m.kind);
-  w.u32(m.holder);
-  w.u32(m.next);
-  w.u32(m.forwarders);
-  w.u32(m.index);
-}
-bool decode_payload(Reader& r, LegMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.attempt = r.u32();
-  m.tid = r.u64();
-  m.kind = r.u8();
-  m.holder = r.u32();
-  m.next = r.u32();
-  m.forwarders = r.u32();
-  m.index = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const AckMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u64(m.tid);
-}
-bool decode_payload(Reader& r, AckMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.tid = r.u64();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const NackMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u32(m.attempt);
-}
-bool decode_payload(Reader& r, NackMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.attempt = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const DataMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u32(m.gen);
-  w.u64(m.seq);
-  w.u32(m.index);
-  w.u8(m.echo);
-}
-bool decode_payload(Reader& r, DataMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.gen = r.u32();
-  m.seq = r.u64();
-  m.index = r.u32();
-  m.echo = r.u8();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ClaimMsg& m) {
-  w.u32(m.sid);
-  w.u32(m.claimant);
-  w.receipt(m.receipt);
-}
-bool decode_payload(Reader& r, ClaimMsg& m) {
-  m.sid = r.u32();
-  m.claimant = r.u32();
-  m.receipt = r.receipt();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ClaimReplyMsg& m) { w.u8(m.result); }
-bool decode_payload(Reader& r, ClaimReplyMsg& m) {
-  m.result = r.u8();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const CloseMsg& m) { w.u32(m.sid); }
-bool decode_payload(Reader& r, CloseMsg& m) {
-  m.sid = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const CloseReplyMsg& m) { w.u8(m.ok); }
-bool decode_payload(Reader& r, CloseReplyMsg& m) {
-  m.ok = r.u8();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const OpenSettlementMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.initiator_account);
-  w.i64(m.escrow_milli);
-  w.i64(m.forwarding_benefit_milli);
-  w.i64(m.routing_benefit_milli);
-  w.u32(static_cast<std::uint32_t>(m.records.size()));
-  for (const WirePathRecord& rec : m.records) {
-    w.u32(rec.conn_index);
-    w.u32(rec.entry);
-    w.u32(rec.exit);
-    w.node_list(rec.forwarders);
-  }
-}
-bool decode_payload(Reader& r, OpenSettlementMsg& m) {
-  m.pair = r.u32();
-  m.initiator_account = r.u32();
-  m.escrow_milli = r.i64();
-  m.forwarding_benefit_milli = r.i64();
-  m.routing_benefit_milli = r.i64();
-  const std::uint32_t count = r.u32();
-  if (!r.ok() || count > 4096) return false;
-  m.records.clear();
-  m.records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    WirePathRecord rec;
-    rec.conn_index = r.u32();
-    rec.entry = r.u32();
-    rec.exit = r.u32();
-    if (!r.node_list(rec.forwarders)) return false;
-    m.records.push_back(std::move(rec));
-  }
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const OpenReplyMsg& m) {
-  w.u8(m.ok);
-  w.u32(m.sid);
-}
-bool decode_payload(Reader& r, OpenReplyMsg& m) {
-  m.ok = r.u8();
-  m.sid = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ContractMsg& m) {
-  w.u32(m.sid);
-  w.u16(m.bank_port);
-  w.receipt(m.receipt);
-}
-bool decode_payload(Reader& r, ContractMsg& m) {
-  m.sid = r.u32();
-  m.bank_port = r.u16();
-  m.receipt = r.receipt();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ContractAckMsg& m) { w.u32(m.sid); }
-bool decode_payload(Reader& r, ContractAckMsg& m) {
-  m.sid = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const HelloMsg& m) { w.u32(m.node); }
-bool decode_payload(Reader& r, HelloMsg& m) {
-  m.node = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const HelloReplyMsg& m) {
-  w.u32(m.account);
-  w.u64(m.mac_key);
-  w.i64(m.balance_milli);
-}
-bool decode_payload(Reader& r, HelloReplyMsg& m) {
-  m.account = r.u32();
-  m.mac_key = r.u64();
-  m.balance_milli = r.i64();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const SetupMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-  w.u32(m.hop);
-  w.node_list(m.path);
-}
-bool decode_payload(Reader& r, SetupMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  m.hop = r.u32();
-  if (!r.node_list(m.path)) return false;
-  return r.exhausted() && m.path.size() <= kMaxWirePath;
-}
-
-void encode_payload(Writer& w, const SetupAckMsg& m) {
-  w.u32(m.pair);
-  w.u32(m.conn_index);
-}
-bool decode_payload(Reader& r, SetupAckMsg& m) {
-  m.pair = r.u32();
-  m.conn_index = r.u32();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const HeartbeatMsg& m) { w.u64(m.nonce); }
-bool decode_payload(Reader& r, HeartbeatMsg& m) {
-  m.nonce = r.u64();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const HeartbeatAckMsg& m) { w.u64(m.nonce); }
-bool decode_payload(Reader& r, HeartbeatAckMsg& m) {
-  m.nonce = r.u64();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const ByeMsg& m) { w.u16(m.port); }
-bool decode_payload(Reader& r, ByeMsg& m) {
-  m.port = r.u16();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const SweepMsg& m) { w.u8(m.write_report); }
-bool decode_payload(Reader& r, SweepMsg& m) {
-  m.write_report = r.u8();
-  return r.exhausted();
-}
-
-void encode_payload(Writer& w, const SweepReplyMsg& m) { w.u32(m.terminalised); }
-bool decode_payload(Reader& r, SweepReplyMsg& m) {
-  m.terminalised = r.u32();
-  return r.exhausted();
-}
-
+/// Parse a payload into a fresh T; `out` is assigned only on success.
 template <typename T>
 bool parse_into(std::span<const std::byte> payload, WireMessage& out) {
   Reader r(payload);
   T msg;
-  if (!decode_payload(r, msg)) return false;
+  fields(r, msg);
+  if (!r.exhausted() || !within_bounds(msg)) return false;
   out = std::move(msg);
   return true;
 }
 
-[[nodiscard]] std::uint32_t read_u32(std::span<const std::byte> b, std::size_t at) noexcept {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[at + i]) << (8 * i);
-  return v;
-}
+using ParseFn = bool (*)(std::span<const std::byte>, WireMessage&);
 
-[[nodiscard]] std::uint16_t read_u16(std::span<const std::byte> b, std::size_t at) noexcept {
-  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(b[at]) |
-                                    (static_cast<std::uint16_t>(b[at + 1]) << 8));
+/// Parser per MsgType value; slot 0 and any value past the last type are
+/// unknown. Built from the variant's alternatives, so a new message type is
+/// decodable as soon as it is added to WireMessage with its field list. The
+/// tags run 1..N: one past N does not compile, and a repeated one leaves a
+/// type undecodable, which the every-type round-trip test catches.
+template <std::size_t... I>
+consteval auto make_parsers(std::index_sequence<I...>) {
+  std::array<ParseFn, sizeof...(I) + 1> table{};
+  ((table[static_cast<std::size_t>(std::variant_alternative_t<I, WireMessage>::kType)] =
+        &parse_into<std::variant_alternative_t<I, WireMessage>>),
+   ...);
+  return table;
 }
+constexpr auto kParsers =
+    make_parsers(std::make_index_sequence<std::variant_size_v<WireMessage>>{});
 
 }  // namespace
 
@@ -370,81 +280,38 @@ const char* to_string(DecodeResult r) noexcept {
 }
 
 std::size_t encode(const wire::WireMessage& msg, std::vector<std::byte>& out) {
-  const std::size_t start = out.size();
-  Writer w(out);
-  w.u32(kWireMagic);
-  w.u16(kWireVersion);
-  w.u16(static_cast<std::uint16_t>(wire::type_of(msg)));
-  w.u32(0);  // length backpatched below
-  std::visit([&w](const auto& m) { encode_payload(w, m); }, msg);
-  const std::size_t payload_len = out.size() - start - kHeaderSize;
-  for (std::size_t i = 0; i < 4; ++i) {
-    out[start + 8 + i] = static_cast<std::byte>((payload_len >> (8 * i)) & 0xFF);
-  }
-  const std::uint32_t crc =
-      crc32(std::span<const std::byte>(out.data() + start, out.size() - start));
-  w.u32(crc);
-  return out.size() - start;
+  return std::visit([&out](const auto& m) { return encode_frame(m, out); }, msg);
 }
 
 DecodeResult decode(std::span<const std::byte> buffer, wire::WireMessage& out,
                     std::size_t& consumed, std::size_t max_frame) {
   consumed = 0;
   if (buffer.size() < kHeaderSize) return DecodeResult::kTruncated;
-  if (read_u32(buffer, 0) != kWireMagic) return DecodeResult::kBadMagic;
-  const std::uint16_t version = read_u16(buffer, 4);
-  const std::uint16_t type = read_u16(buffer, 6);
-  const std::uint32_t length = read_u32(buffer, 8);
+  const std::byte* const b = buffer.data();
+  if (load_le<std::uint32_t>(b) != kWireMagic) return DecodeResult::kBadMagic;
+  const auto version = load_le<std::uint16_t>(b + 4);
+  const auto type = load_le<std::uint16_t>(b + 6);
+  const auto length = load_le<std::uint32_t>(b + 8);
   if (static_cast<std::size_t>(length) + kFrameOverhead > max_frame) {
     return DecodeResult::kOversize;
   }
   const std::size_t frame_size = kHeaderSize + length + 4;
   if (buffer.size() < frame_size) return DecodeResult::kTruncated;
+  // Every verdict from here on identified a complete frame.
+  consumed = frame_size;
   // Version gates before the CRC: a future version may change the checksum
   // algorithm, but never the header layout (that is the versioning contract),
-  // so the frame is skippable whole either way.
-  if (version > kWireVersion) {
-    consumed = frame_size;
-    return DecodeResult::kFutureVersion;
-  }
-  const std::uint32_t want = read_u32(buffer, kHeaderSize + length);
-  const std::uint32_t got = crc32(buffer.subspan(0, kHeaderSize + length));
-  if (want != got) {
-    consumed = frame_size;
+  // so the frame is skippable whole either way. Version 1 is the first, so a
+  // 0 is no version at all and is skipped the same way.
+  if (version != kWireVersion) return DecodeResult::kFutureVersion;
+  if (load_le<std::uint32_t>(b + kHeaderSize + length) !=
+      crc32(buffer.subspan(0, kHeaderSize + length))) {
     return DecodeResult::kBadCrc;
   }
-  consumed = frame_size;
-  const std::span<const std::byte> payload = buffer.subspan(kHeaderSize, length);
-  bool parsed = false;
-  switch (static_cast<wire::MsgType>(type)) {
-    case wire::MsgType::kLeg: parsed = parse_into<LegMsg>(payload, out); break;
-    case wire::MsgType::kAck: parsed = parse_into<AckMsg>(payload, out); break;
-    case wire::MsgType::kNack: parsed = parse_into<NackMsg>(payload, out); break;
-    case wire::MsgType::kData: parsed = parse_into<DataMsg>(payload, out); break;
-    case wire::MsgType::kClaim: parsed = parse_into<ClaimMsg>(payload, out); break;
-    case wire::MsgType::kClaimReply: parsed = parse_into<ClaimReplyMsg>(payload, out); break;
-    case wire::MsgType::kClose: parsed = parse_into<CloseMsg>(payload, out); break;
-    case wire::MsgType::kCloseReply: parsed = parse_into<CloseReplyMsg>(payload, out); break;
-    case wire::MsgType::kOpenSettlement:
-      parsed = parse_into<OpenSettlementMsg>(payload, out);
-      break;
-    case wire::MsgType::kOpenReply: parsed = parse_into<OpenReplyMsg>(payload, out); break;
-    case wire::MsgType::kContract: parsed = parse_into<ContractMsg>(payload, out); break;
-    case wire::MsgType::kContractAck: parsed = parse_into<ContractAckMsg>(payload, out); break;
-    case wire::MsgType::kHello: parsed = parse_into<HelloMsg>(payload, out); break;
-    case wire::MsgType::kHelloReply: parsed = parse_into<HelloReplyMsg>(payload, out); break;
-    case wire::MsgType::kSetup: parsed = parse_into<SetupMsg>(payload, out); break;
-    case wire::MsgType::kSetupAck: parsed = parse_into<SetupAckMsg>(payload, out); break;
-    case wire::MsgType::kHeartbeat: parsed = parse_into<HeartbeatMsg>(payload, out); break;
-    case wire::MsgType::kHeartbeatAck:
-      parsed = parse_into<HeartbeatAckMsg>(payload, out);
-      break;
-    case wire::MsgType::kBye: parsed = parse_into<ByeMsg>(payload, out); break;
-    case wire::MsgType::kSweep: parsed = parse_into<SweepMsg>(payload, out); break;
-    case wire::MsgType::kSweepReply: parsed = parse_into<SweepReplyMsg>(payload, out); break;
-    default: return DecodeResult::kUnknownType;
-  }
-  return parsed ? DecodeResult::kOk : DecodeResult::kBadLength;
+  const ParseFn parse = type < kParsers.size() ? kParsers[type] : nullptr;
+  if (parse == nullptr) return DecodeResult::kUnknownType;
+  return parse(buffer.subspan(kHeaderSize, length), out) ? DecodeResult::kOk
+                                                        : DecodeResult::kBadLength;
 }
 
 }  // namespace p2panon::transport

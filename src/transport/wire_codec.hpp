@@ -20,11 +20,15 @@
 //                   no resync is possible, the connection must be dropped)
 //   kOversize       declared length exceeds max_frame (header is not
 //                   trusted further; drop the connection)
-//   kFutureVersion  version > kWireVersion; the frame is skipped whole
-//                   (header layout is stable across versions by contract)
+//   kFutureVersion  version != kWireVersion (a later one, or the never
+//                   issued 0); the frame is skipped whole (header layout is
+//                   stable across versions by contract)
 //   kBadCrc         checksum mismatch over header + payload
 //   kUnknownType    intact frame, but no such message type at this version
-//   kBadLength      payload did not parse to exactly `length` bytes
+//   kBadLength      payload did not parse to exactly `length` bytes, or a
+//                   field is out of range (a receipt word wider than its
+//                   field, a path longer than kMaxWirePath): every frame
+//                   that decodes kOk re-encodes to the same bytes
 //
 // `consumed` tells a streaming caller how many bytes the frame occupied:
 // set for every verdict that identified a complete frame (kOk, kBadCrc,
