@@ -31,7 +31,9 @@
 // --sharded-smoke runs only the N = 10^5, K = 4 sharded point twice and
 // asserts completion, determinism (digest-for-digest), claim conservation
 // and zero heap fallbacks — no timing gates, so it cannot flake under a
-// loaded CI box (the `scale-smoke-sharded` ctest entry); --adaptive raises
+// loaded CI box (the `scale-smoke-sharded` ctest entry). Both smoke modes
+// are gates: they print their rows and write no BENCH file, so running one
+// never overwrites a committed reference run. --adaptive raises
 // the part-1 replicate cap 4x and stops each point once its connection-
 // latency interval is within ±eps (relative); --checkpoint makes the
 // expensive part-3 grid crash-recoverable point by point (finished points
@@ -331,7 +333,7 @@ void print_sharded_row(const ShardedRow& row) {
             << " events/s, cancel_ratio=" << row.cancel_ratio
             << " cross_shard=" << row.cross_shard_messages
             << " barriers=" << row.window_barriers << " rss=" << row.peak_rss_mib
-            << " MiB\n";
+            << " MiB digest=" << std::hex << row.digest << std::dec << "\n";
 }
 
 }  // namespace
@@ -553,7 +555,6 @@ int main(int argc, char** argv) {
     print_sharded_row(first);
     const ShardedRow second = run_sharded_point(cfg);
     print_sharded_row(second);
-    write_sharded_json({first, second});
     int rc = check_sharded_row(first) | check_sharded_row(second);
     if (first.digest != second.digest) {
       std::cerr << "FAIL: sharded smoke digests diverged across identical runs\n";
@@ -589,7 +590,7 @@ int main(int argc, char** argv) {
     pairs.push_back(r);
   }
 
-  write_json(sweep, pairs);
+  if (!smoke) write_json(sweep, pairs);
 
   // Part 3: shard-count x window-size sweep at population scale. Each N gets
   // the serial oracle as the single-threaded baseline, the K sweep at the

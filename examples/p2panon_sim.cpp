@@ -8,6 +8,7 @@
 //
 // Prints the headline metrics (forwarder set, path quality, payoffs with
 // 95% CIs, latency, conservation check) and optionally appends a CSV row.
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -37,13 +38,13 @@ void usage(const char* prog) {
       << "  --zipf S           responder popularity skew (default 0 = uniform)\n"
       << "contract & routing:\n"
       << "  --strategy S       random | utility1 | utility2 | spne (default utility1)\n"
-      << "  --tau T            P_r = tau * P_f (default 2; paper sweeps 0.5..4)\n"
+      << "  --tau T            P_r = tau * P_f, tau >= 0 (default 2; paper sweeps 0.5..4)\n"
       << "  --w-selectivity W  edge-quality history weight w_s in [0,1] (default 0.5)\n"
       << "  --termination T    crowds | ttl (default crowds)\n"
       << "  --p-forward P      Crowds forwarding probability in (0,1) (default 0.75)\n"
       << "  --ttl H            hop bound for ttl termination (default 4)\n"
       << "  --cid-rotation E   rotate the connection-set id every E connections\n"
-      << "  --drop P           malicious payload-drop probability (default 0)\n"
+      << "  --drop P           malicious payload-drop probability in [0,1] (default 0)\n"
       << "run control:\n"
       << "  --seed S           base seed (default 1)\n"
       << "  --replicates R     Monte-Carlo replicates (default 8)\n"
@@ -153,6 +154,14 @@ int main(int argc, char** argv) {
   }
   if (!(cfg.p_forward > 0.0 && cfg.p_forward < 1.0)) {
     std::cerr << "--p-forward must be in (0,1)\n";
+    return 2;
+  }
+  if (!(cfg.tau >= 0.0 && std::isfinite(cfg.tau))) {
+    std::cerr << "--tau must be finite and >= 0 (P_r = tau * P_f)\n";
+    return 2;
+  }
+  if (!(cfg.adversary.drop_probability >= 0.0 && cfg.adversary.drop_probability <= 1.0)) {
+    std::cerr << "--drop must be in [0,1]\n";
     return 2;
   }
   if (cfg.overlay.node_count < 2 || cfg.overlay.degree >= cfg.overlay.node_count ||

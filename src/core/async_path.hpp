@@ -20,8 +20,10 @@
 //  * a receiver that crashed *silently* answers nothing — the attempt dies
 //    only when the ack timer fires, and the timed-out hop's receiver is
 //    reported to the optional SuspicionTracker;
-//  * the optional fault::FaultInjector can drop or delay any leg or ack,
-//    so lossy links produce spurious timeouts exactly like dead nodes do;
+//  * every leg, ack and NACK travels as a wire frame through
+//    transport::SimTransport, whose optional fault::FaultInjector can drop
+//    or delay it, so lossy links produce spurious timeouts exactly like
+//    dead nodes do;
 //  * retries use capped exponential backoff with multiplicative jitter
 //    drawn from a dedicated child stream, and an optional per-attempt
 //    deadline bounds how long one attempt may dangle.
@@ -34,18 +36,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/path.hpp"
 #include "sim/simulator.hpp"
-
-namespace p2panon::fault {
-class FaultInjector;
-}
-
-namespace p2panon::transport {
-class SimTransport;
-}
+#include "transport/sim_transport.hpp"
 
 namespace p2panon::core {
 
@@ -84,12 +80,11 @@ class AsyncConnectionRunner {
  public:
   using Callback = std::function<void(const AsyncResult&)>;
 
-  /// `faults` (optional) injects loss/delay on every leg and ack;
-  /// `suspicion` (optional) learns from ack timeouts and confirmed paths;
-  /// `transport` (optional) carries legs/acks/nacks as codec-verified wire
-  /// frames through the SimTransport backend (bitwise-identical delivery —
-  /// same draws, same schedule — plus frame accounting). All must outlive
-  /// the runner.
+  /// `transport` carries legs/acks/nacks as codec-verified wire frames;
+  /// when it is null the runner builds its own SimTransport over `faults`
+  /// (optional: loss/delay on every frame). A given `transport` brings its
+  /// own injector and `faults` is not used. `suspicion` (optional) learns
+  /// from ack timeouts and confirmed paths. All must outlive the runner.
   AsyncConnectionRunner(sim::Simulator& simulator, const net::Overlay& overlay,
                         const PathBuilder& builder, AsyncConfig cfg = {},
                         fault::FaultInjector* faults = nullptr,
@@ -99,9 +94,9 @@ class AsyncConnectionRunner {
         overlay_(overlay),
         builder_(builder),
         cfg_(cfg),
-        faults_(faults),
         suspicion_(suspicion),
-        transport_(transport) {}
+        transport_(transport != nullptr ? *transport
+                                        : own_transport_.emplace(simulator, overlay, faults)) {}
 
   /// Begin establishing connection `conn_index` of `pair` from `initiator`
   /// to `responder`. The callback fires (once) when the reverse-path
@@ -140,9 +135,9 @@ class AsyncConnectionRunner {
   const net::Overlay& overlay_;
   const PathBuilder& builder_;
   AsyncConfig cfg_;
-  fault::FaultInjector* faults_;
   SuspicionTracker* suspicion_;
-  transport::SimTransport* transport_;
+  std::optional<transport::SimTransport> own_transport_;  ///< set when none was given
+  transport::SimTransport& transport_;
 };
 
 }  // namespace p2panon::core

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/async_path.hpp"
@@ -60,11 +61,11 @@ class DataPhaseRunner {
  public:
   using Callback = std::function<void(const DataPhaseResult&)>;
 
-  /// `faults` (optional) applies loss/delay to keepalive hops just like the
-  /// setup legs. Re-formation goes through `runner`, so it inherits that
-  /// runner's fault injector and suspicion tracker. `transport` (optional)
-  /// carries keepalive hops as codec-verified wire frames (SimTransport,
-  /// bitwise-identical delivery).
+  /// `transport` carries keepalive hops as codec-verified wire frames;
+  /// when it is null the runner builds its own SimTransport over `faults`
+  /// (optional: loss/delay on every hop, just like the setup legs).
+  /// Re-formation goes through `runner`, so it inherits that runner's
+  /// transport and suspicion tracker.
   DataPhaseRunner(sim::Simulator& simulator, const net::Overlay& overlay,
                   AsyncConnectionRunner& runner, DataPhaseConfig cfg = {},
                   fault::FaultInjector* faults = nullptr,
@@ -73,8 +74,8 @@ class DataPhaseRunner {
         overlay_(overlay),
         runner_(runner),
         cfg_(cfg),
-        faults_(faults),
-        transport_(transport) {}
+        transport_(transport != nullptr ? *transport
+                                        : own_transport_.emplace(simulator, overlay, faults)) {}
 
   /// Run the data phase of connection `conn_index` of `pair` over the
   /// just-established `path`. The callback fires once, when the phase ends
@@ -99,8 +100,8 @@ class DataPhaseRunner {
   const net::Overlay& overlay_;
   AsyncConnectionRunner& runner_;
   DataPhaseConfig cfg_;
-  fault::FaultInjector* faults_;
-  transport::SimTransport* transport_;
+  std::optional<transport::SimTransport> own_transport_;  ///< set when none was given
+  transport::SimTransport& transport_;
 };
 
 }  // namespace p2panon::core

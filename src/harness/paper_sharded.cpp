@@ -1,7 +1,6 @@
 #include "harness/paper_sharded.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <map>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "core/shard_history.hpp"
+#include "harness/checkpoint.hpp"
 #include "net/link_model.hpp"
 #include "net/sharded_probing.hpp"
 #include "net/soa.hpp"
@@ -25,18 +25,6 @@ namespace {
 
 using net::NodeId;
 using payment::Amount;
-
-/// FNV-1a 64 over 8-byte words (same shape as the scale scenario's).
-struct Fingerprint {
-  std::uint64_t h = 1469598103934665603ULL;
-  void add(std::uint64_t x) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (i * 8)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-  void add_double(double d) noexcept { add(std::bit_cast<std::uint64_t>(d)); }
-};
 
 struct alignas(64) PaperShardCounters {
   std::uint64_t churn_events = 0;
@@ -593,7 +581,9 @@ class PaperWorld {
   /// coin signatures (op-order-dependent), history/probing epoch counters
   /// driven by barrier cadence.
   [[nodiscard]] std::uint64_t digest(const payment::PlaneReconciliation& rec) const {
-    Fingerprint f;
+    std::uint64_t h = fnv1a_init();
+    const auto mix_u = [&h](std::uint64_t v) { h = fnv1a_mix(h, v); };
+    const auto mix_d = [&h](double v) { h = fnv1a_double(h, v); };
     for (std::uint32_t p = 0; p < pairs_.size(); ++p) {
       const PairState& st = pairs_[p];
       std::uint64_t outcome = 0;
@@ -619,48 +609,48 @@ class PaperWorld {
           set_size = report->forwarder_set_size;
         }
       }
-      f.add(outcome | (static_cast<std::uint64_t>(st.completed) << 8) |
+      mix_u(outcome | (static_cast<std::uint64_t>(st.completed) << 8) |
             (static_cast<std::uint64_t>(st.launched) << 24) |
             (static_cast<std::uint64_t>(st.close_skipped) << 40));
-      f.add(escrow);
-      f.add(paid);
-      f.add(refunded);
-      f.add(accepted | (set_size << 32));
-      f.add(st.claims_lost);
-      f.add_double(st.length_sum);
-      f.add_double(st.latency_sum);
+      mix_u(escrow);
+      mix_u(paid);
+      mix_u(refunded);
+      mix_u(accepted | (set_size << 32));
+      mix_u(st.claims_lost);
+      mix_d(st.length_sum);
+      mix_d(st.latency_sum);
     }
     for (NodeId id = 0; id < node_count_; ++id) {
-      f.add(state_.online[id] | (static_cast<std::uint64_t>(state_.departed[id]) << 8) |
+      mix_u(state_.online[id] | (static_cast<std::uint64_t>(state_.departed[id]) << 8) |
             (static_cast<std::uint64_t>(churn_cycle_[id]) << 16));
-      f.add_double(state_.tracker[id].availability(duration_));
+      mix_d(state_.tracker[id].availability(duration_));
       for (std::size_t slot = 0; slot < degree_; ++slot) {
-        f.add_double(probing_->observed_session_time(id, slot));
+        mix_d(probing_->observed_session_time(id, slot));
       }
       const Amount delta =
           plane_.merged_balance(static_cast<payment::AccountId>(id)) -
           payment::from_credits(cfg_.initial_balance_credits);
-      f.add(static_cast<std::uint64_t>(delta));
+      mix_u(static_cast<std::uint64_t>(delta));
     }
-    f.add(history_.total_entries());
+    mix_u(history_.total_entries());
     for (std::uint32_t s = 0; s < partition_.shard_count(); ++s) {
-      f.add(history_.entries_in_shard(s));
+      mix_u(history_.entries_in_shard(s));
       const PaperShardCounters& c = counters_[s];
-      f.add(c.churn_events);
-      f.add(c.departures);
-      f.add(c.connections_launched);
-      f.add(c.connections_completed);
-      f.add(c.connections_failed);
-      f.add(c.no_candidate);
-      f.add(c.hops_recorded);
+      mix_u(c.churn_events);
+      mix_u(c.departures);
+      mix_u(c.connections_launched);
+      mix_u(c.connections_completed);
+      mix_u(c.connections_failed);
+      mix_u(c.no_candidate);
+      mix_u(c.hops_recorded);
     }
-    f.add(static_cast<std::uint64_t>(rec.escrow_milli));
-    f.add(static_cast<std::uint64_t>(rec.paid_milli));
-    f.add(static_cast<std::uint64_t>(rec.refunded_milli));
-    f.add(rec.closed | (rec.abandoned << 16) | (rec.expired << 32) | (rec.prorata << 48));
-    f.add(rec.claims_accepted);
-    f.add(rec.claims_rejected);
-    return f.h;
+    mix_u(static_cast<std::uint64_t>(rec.escrow_milli));
+    mix_u(static_cast<std::uint64_t>(rec.paid_milli));
+    mix_u(static_cast<std::uint64_t>(rec.refunded_milli));
+    mix_u(rec.closed | (rec.abandoned << 16) | (rec.expired << 32) | (rec.prorata << 48));
+    mix_u(rec.claims_accepted);
+    mix_u(rec.claims_rejected);
+    return h;
   }
 
   const ScenarioConfig& cfg_;

@@ -11,6 +11,125 @@ namespace p2panon::harness {
 
 namespace {
 
+// --- Field tables: the replicate fold and the bit-exact checkpoint codec ---
+// Table-driven over pointer-to-member. Each scalar total names its checkpoint
+// key, its ReplicatedResult member and the ScenarioResult value folded into
+// it, so a new counter is one table row plus its two struct fields — not a
+// fold line and a parallel serializer kept in sync by hand.
+
+struct AccField {
+  const char* key;
+  metrics::Accumulator ReplicatedResult::* member;
+};
+constexpr AccField kAccFields[] = {
+    {"good_payoff", &ReplicatedResult::good_payoff},
+    {"member_payoff", &ReplicatedResult::member_payoff},
+    {"forwarder_set_size", &ReplicatedResult::forwarder_set_size},
+    {"avg_path_length", &ReplicatedResult::avg_path_length},
+    {"path_quality", &ReplicatedResult::path_quality},
+    {"initiator_utility", &ReplicatedResult::initiator_utility},
+    {"initiator_spend", &ReplicatedResult::initiator_spend},
+    {"routing_efficiency", &ReplicatedResult::routing_efficiency},
+    {"connection_latency", &ReplicatedResult::connection_latency},
+    {"delivery_ratio", &ReplicatedResult::delivery_ratio},
+    {"setup_time", &ReplicatedResult::setup_time},
+    {"time_to_detect", &ReplicatedResult::time_to_detect},
+};
+
+struct U64Field {
+  const char* key;
+  std::uint64_t ReplicatedResult::* member;
+  std::uint64_t ScenarioResult::* source;  ///< the per-replicate value folded in
+};
+constexpr U64Field kU64Fields[] = {
+    {"total_reformations", &ReplicatedResult::total_reformations, &ScenarioResult::reformations},
+    {"total_churn_events", &ReplicatedResult::total_churn_events, &ScenarioResult::churn_events},
+    {"total_connections_completed", &ReplicatedResult::total_connections_completed,
+     &ScenarioResult::connections_completed},
+    {"total_connections_failed", &ReplicatedResult::total_connections_failed,
+     &ScenarioResult::connections_failed},
+    {"total_setup_attempts", &ReplicatedResult::total_setup_attempts,
+     &ScenarioResult::setup_attempts},
+    {"total_ack_timeouts", &ReplicatedResult::total_ack_timeouts,
+     &ScenarioResult::setup_ack_timeouts},
+    {"total_crashes", &ReplicatedResult::total_crashes, &ScenarioResult::crashes},
+    {"total_messages_dropped", &ReplicatedResult::total_messages_dropped,
+     &ScenarioResult::messages_dropped},
+    {"total_keepalives_sent", &ReplicatedResult::total_keepalives_sent,
+     &ScenarioResult::keepalives_sent},
+    {"total_keepalives_delivered", &ReplicatedResult::total_keepalives_delivered,
+     &ScenarioResult::keepalives_delivered},
+    {"total_engine_events_scheduled", &ReplicatedResult::total_engine_events_scheduled,
+     &ScenarioResult::engine_events_scheduled},
+    {"total_engine_events_cancelled", &ReplicatedResult::total_engine_events_cancelled,
+     &ScenarioResult::engine_events_cancelled},
+    {"total_engine_events_fired", &ReplicatedResult::total_engine_events_fired,
+     &ScenarioResult::engine_events_fired},
+    {"total_engine_callback_heap_allocs", &ReplicatedResult::total_engine_callback_heap_allocs,
+     &ScenarioResult::engine_callback_heap_allocs},
+    {"total_engine_cross_shard_messages", &ReplicatedResult::total_engine_cross_shard_messages,
+     &ScenarioResult::engine_cross_shard_messages},
+    {"total_engine_window_barriers", &ReplicatedResult::total_engine_window_barriers,
+     &ScenarioResult::engine_window_barriers},
+    {"total_settlements_closed", &ReplicatedResult::total_settlements_closed,
+     &ScenarioResult::settlements_closed},
+    {"total_settlements_abandoned", &ReplicatedResult::total_settlements_abandoned,
+     &ScenarioResult::settlements_abandoned},
+    {"total_settlements_expired", &ReplicatedResult::total_settlements_expired,
+     &ScenarioResult::settlements_expired},
+    {"total_settlements_prorata", &ReplicatedResult::total_settlements_prorata,
+     &ScenarioResult::settlements_prorata},
+    {"total_claims_submitted", &ReplicatedResult::total_claims_submitted,
+     &ScenarioResult::claims_submitted},
+    {"total_claims_lost", &ReplicatedResult::total_claims_lost, &ScenarioResult::claims_lost},
+    {"total_claims_rejected", &ReplicatedResult::total_claims_rejected,
+     &ScenarioResult::claims_rejected},
+    {"total_claims_after_terminal", &ReplicatedResult::total_claims_after_terminal,
+     &ScenarioResult::claims_after_terminal},
+    {"total_transport_frames_sent", &ReplicatedResult::total_transport_frames_sent,
+     &ScenarioResult::transport_frames_sent},
+    {"total_transport_frames_delivered", &ReplicatedResult::total_transport_frames_delivered,
+     &ScenarioResult::transport_frames_delivered},
+    {"total_transport_frames_dropped", &ReplicatedResult::total_transport_frames_dropped,
+     &ScenarioResult::transport_frames_dropped},
+    {"total_transport_frames_rejected", &ReplicatedResult::total_transport_frames_rejected,
+     &ScenarioResult::transport_frames_rejected},
+    {"total_transport_reconnects", &ReplicatedResult::total_transport_reconnects,
+     &ScenarioResult::transport_reconnects},
+    {"total_transport_backoff_retries", &ReplicatedResult::total_transport_backoff_retries,
+     &ScenarioResult::transport_backoff_retries},
+    {"total_transport_heartbeat_timeouts", &ReplicatedResult::total_transport_heartbeat_timeouts,
+     &ScenarioResult::transport_heartbeat_timeouts},
+    {"total_transport_deadline_expiries", &ReplicatedResult::total_transport_deadline_expiries,
+     &ScenarioResult::transport_deadline_expiries},
+};
+
+struct I64Field {
+  const char* key;
+  std::int64_t ReplicatedResult::* member;
+  std::int64_t ScenarioResult::* source;  ///< the per-replicate value folded in
+};
+constexpr I64Field kI64Fields[] = {
+    {"total_settlement_escrow_milli", &ReplicatedResult::total_settlement_escrow_milli,
+     &ScenarioResult::settlement_escrow_milli},
+    {"total_settlement_paid_milli", &ReplicatedResult::total_settlement_paid_milli,
+     &ScenarioResult::settlement_paid_milli},
+    {"total_settlement_refunded_milli", &ReplicatedResult::total_settlement_refunded_milli,
+     &ScenarioResult::settlement_refunded_milli},
+};
+
+struct BoolField {
+  const char* key;
+  bool ReplicatedResult::* member;
+  bool ScenarioResult::* source;  ///< the per-replicate value folded in
+};
+constexpr BoolField kBoolFields[] = {
+    {"all_payments_conserved", &ReplicatedResult::all_payments_conserved,
+     &ScenarioResult::payment_conserved},
+    {"all_settlements_reconciled", &ReplicatedResult::all_settlements_reconciled,
+     &ScenarioResult::settlement_reconciled},
+};
+
 /// Fold one replicate into the aggregate. Shared verbatim by the fixed and
 /// adaptive paths — identical operation order is what makes adaptivity (and
 /// kill/resume) bitwise-inert relative to run_replicated.
@@ -36,131 +155,13 @@ void accumulate_result(ReplicatedResult& agg, const ScenarioResult& r) {
       agg.new_edge_fraction_by_conn[j].add(r.new_edge_fraction_by_conn[j].mean());
     }
   }
-  agg.total_reformations += r.reformations;
-  agg.total_churn_events += r.churn_events;
-  agg.all_payments_conserved = agg.all_payments_conserved && r.payment_conserved;
   agg.delivery_ratio.add(r.delivery_ratio());
   agg.setup_time.merge(r.setup_time);
   agg.time_to_detect.merge(r.time_to_detect);
-  agg.total_connections_completed += r.connections_completed;
-  agg.total_connections_failed += r.connections_failed;
-  agg.total_setup_attempts += r.setup_attempts;
-  agg.total_ack_timeouts += r.setup_ack_timeouts;
-  agg.total_crashes += r.crashes;
-  agg.total_messages_dropped += r.messages_dropped;
-  agg.total_keepalives_sent += r.keepalives_sent;
-  agg.total_keepalives_delivered += r.keepalives_delivered;
-  agg.total_engine_events_scheduled += r.engine_events_scheduled;
-  agg.total_engine_events_cancelled += r.engine_events_cancelled;
-  agg.total_engine_events_fired += r.engine_events_fired;
-  agg.total_engine_callback_heap_allocs += r.engine_callback_heap_allocs;
-  agg.total_engine_cross_shard_messages += r.engine_cross_shard_messages;
-  agg.total_engine_window_barriers += r.engine_window_barriers;
-  agg.total_settlements_closed += r.settlements_closed;
-  agg.total_settlements_abandoned += r.settlements_abandoned;
-  agg.total_settlements_expired += r.settlements_expired;
-  agg.total_settlements_prorata += r.settlements_prorata;
-  agg.total_claims_submitted += r.claims_submitted;
-  agg.total_claims_lost += r.claims_lost;
-  agg.total_claims_rejected += r.claims_rejected;
-  agg.total_claims_after_terminal += r.claims_after_terminal;
-  agg.total_settlement_escrow_milli += r.settlement_escrow_milli;
-  agg.total_settlement_paid_milli += r.settlement_paid_milli;
-  agg.total_settlement_refunded_milli += r.settlement_refunded_milli;
-  agg.all_settlements_reconciled = agg.all_settlements_reconciled && r.settlement_reconciled;
-  agg.total_transport_frames_sent += r.transport_frames_sent;
-  agg.total_transport_frames_delivered += r.transport_frames_delivered;
-  agg.total_transport_frames_dropped += r.transport_frames_dropped;
-  agg.total_transport_frames_rejected += r.transport_frames_rejected;
-  agg.total_transport_reconnects += r.transport_reconnects;
-  agg.total_transport_backoff_retries += r.transport_backoff_retries;
-  agg.total_transport_heartbeat_timeouts += r.transport_heartbeat_timeouts;
-  agg.total_transport_deadline_expiries += r.transport_deadline_expiries;
+  for (const U64Field& f : kU64Fields) agg.*f.member += r.*f.source;
+  for (const I64Field& f : kI64Fields) agg.*f.member += r.*f.source;
+  for (const BoolField& f : kBoolFields) agg.*f.member = agg.*f.member && r.*f.source;
 }
-
-// --- Bit-exact ReplicatedResult <-> Checkpoint codec -----------------------
-// Table-driven over pointer-to-member so a ReplicatedResult field added
-// without a codec entry is a one-line fix, not a parallel serializer to
-// keep in sync by hand.
-
-struct AccField {
-  const char* key;
-  metrics::Accumulator ReplicatedResult::* member;
-};
-constexpr AccField kAccFields[] = {
-    {"good_payoff", &ReplicatedResult::good_payoff},
-    {"member_payoff", &ReplicatedResult::member_payoff},
-    {"forwarder_set_size", &ReplicatedResult::forwarder_set_size},
-    {"avg_path_length", &ReplicatedResult::avg_path_length},
-    {"path_quality", &ReplicatedResult::path_quality},
-    {"initiator_utility", &ReplicatedResult::initiator_utility},
-    {"initiator_spend", &ReplicatedResult::initiator_spend},
-    {"routing_efficiency", &ReplicatedResult::routing_efficiency},
-    {"connection_latency", &ReplicatedResult::connection_latency},
-    {"delivery_ratio", &ReplicatedResult::delivery_ratio},
-    {"setup_time", &ReplicatedResult::setup_time},
-    {"time_to_detect", &ReplicatedResult::time_to_detect},
-};
-
-struct U64Field {
-  const char* key;
-  std::uint64_t ReplicatedResult::* member;
-};
-constexpr U64Field kU64Fields[] = {
-    {"total_reformations", &ReplicatedResult::total_reformations},
-    {"total_churn_events", &ReplicatedResult::total_churn_events},
-    {"total_connections_completed", &ReplicatedResult::total_connections_completed},
-    {"total_connections_failed", &ReplicatedResult::total_connections_failed},
-    {"total_setup_attempts", &ReplicatedResult::total_setup_attempts},
-    {"total_ack_timeouts", &ReplicatedResult::total_ack_timeouts},
-    {"total_crashes", &ReplicatedResult::total_crashes},
-    {"total_messages_dropped", &ReplicatedResult::total_messages_dropped},
-    {"total_keepalives_sent", &ReplicatedResult::total_keepalives_sent},
-    {"total_keepalives_delivered", &ReplicatedResult::total_keepalives_delivered},
-    {"total_engine_events_scheduled", &ReplicatedResult::total_engine_events_scheduled},
-    {"total_engine_events_cancelled", &ReplicatedResult::total_engine_events_cancelled},
-    {"total_engine_events_fired", &ReplicatedResult::total_engine_events_fired},
-    {"total_engine_callback_heap_allocs", &ReplicatedResult::total_engine_callback_heap_allocs},
-    {"total_engine_cross_shard_messages", &ReplicatedResult::total_engine_cross_shard_messages},
-    {"total_engine_window_barriers", &ReplicatedResult::total_engine_window_barriers},
-    {"total_settlements_closed", &ReplicatedResult::total_settlements_closed},
-    {"total_settlements_abandoned", &ReplicatedResult::total_settlements_abandoned},
-    {"total_settlements_expired", &ReplicatedResult::total_settlements_expired},
-    {"total_settlements_prorata", &ReplicatedResult::total_settlements_prorata},
-    {"total_claims_submitted", &ReplicatedResult::total_claims_submitted},
-    {"total_claims_lost", &ReplicatedResult::total_claims_lost},
-    {"total_claims_rejected", &ReplicatedResult::total_claims_rejected},
-    {"total_claims_after_terminal", &ReplicatedResult::total_claims_after_terminal},
-    {"total_transport_frames_sent", &ReplicatedResult::total_transport_frames_sent},
-    {"total_transport_frames_delivered", &ReplicatedResult::total_transport_frames_delivered},
-    {"total_transport_frames_dropped", &ReplicatedResult::total_transport_frames_dropped},
-    {"total_transport_frames_rejected", &ReplicatedResult::total_transport_frames_rejected},
-    {"total_transport_reconnects", &ReplicatedResult::total_transport_reconnects},
-    {"total_transport_backoff_retries", &ReplicatedResult::total_transport_backoff_retries},
-    {"total_transport_heartbeat_timeouts",
-     &ReplicatedResult::total_transport_heartbeat_timeouts},
-    {"total_transport_deadline_expiries",
-     &ReplicatedResult::total_transport_deadline_expiries},
-};
-
-struct I64Field {
-  const char* key;
-  std::int64_t ReplicatedResult::* member;
-};
-constexpr I64Field kI64Fields[] = {
-    {"total_settlement_escrow_milli", &ReplicatedResult::total_settlement_escrow_milli},
-    {"total_settlement_paid_milli", &ReplicatedResult::total_settlement_paid_milli},
-    {"total_settlement_refunded_milli", &ReplicatedResult::total_settlement_refunded_milli},
-};
-
-struct BoolField {
-  const char* key;
-  bool ReplicatedResult::* member;
-};
-constexpr BoolField kBoolFields[] = {
-    {"all_payments_conserved", &ReplicatedResult::all_payments_conserved},
-    {"all_settlements_reconciled", &ReplicatedResult::all_settlements_reconciled},
-};
 
 std::string encode_acc(const metrics::Accumulator& acc) {
   const auto raw = acc.raw();
@@ -314,6 +315,12 @@ std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept {
   mix_d(cfg.overlay.churn.session_max);
   mix_d(cfg.overlay.churn.offline_gap_mean);
   mix_d(cfg.overlay.churn.departure_probability);
+  mix_d(cfg.overlay.link.bandwidth_lo);
+  mix_d(cfg.overlay.link.bandwidth_hi);
+  mix_d(cfg.overlay.link.cost_scale);
+  mix_d(cfg.overlay.link.payload_size);
+  mix_d(cfg.overlay.link.propagation_delay);
+  mix_d(cfg.probing.period);
   mix_d(cfg.weights.w_selectivity);
   mix_d(cfg.weights.w_availability);
   mix_u(static_cast<std::uint64_t>(cfg.good_strategy));
@@ -340,6 +347,10 @@ std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept {
   mix_d(cfg.fault.crash_recovery_mean);
   mix_d(cfg.fault.probe_false_negative);
   mix_u(cfg.fault.partitions.size());
+  for (const fault::PartitionWindow& w : cfg.fault.partitions) {
+    mix_d(w.start);
+    mix_d(w.end);
+  }
   mix_u(cfg.fault.bank.lifecycle ? 1 : 0);
   mix_d(cfg.fault.bank.claim_loss);
   mix_d(cfg.fault.bank.claim_delay_mean);
@@ -348,12 +359,30 @@ std::uint64_t config_fingerprint(const ScenarioConfig& cfg) noexcept {
   mix_d(cfg.fault.bank.claim_deadline);
   mix_d(cfg.fault.bank.close_after);
   mix_d(cfg.fault.bank.claim_spread);
+  mix_d(cfg.async_setup.backoff_base);
+  mix_d(cfg.async_setup.backoff_cap);
+  mix_d(cfg.async_setup.backoff_jitter);
+  mix_u(cfg.async_setup.max_attempts);
+  mix_d(cfg.async_setup.ack_timeout_factor);
+  mix_d(cfg.async_setup.ack_timeout_slack);
+  mix_d(cfg.async_setup.attempt_deadline);
+  mix_d(cfg.data_phase.duration);
+  mix_d(cfg.data_phase.keepalive_interval);
+  mix_d(cfg.data_phase.ack_timeout_factor);
+  mix_d(cfg.data_phase.ack_timeout_slack);
+  mix_u(cfg.data_phase.max_reformations);
   mix_d(cfg.suspicion_penalty);
   mix_d(cfg.initial_balance_credits);
+  mix_u(static_cast<std::uint64_t>(cfg.anonymity.form));
+  mix_d(cfg.anonymity.scale);
+  mix_d(cfg.anonymity.lambda);
+  mix_u(cfg.path_builder.max_forwarders);
+  mix_u(cfg.path_builder.allow_declines ? 1 : 0);
   mix_u(cfg.use_decision_cache ? 1 : 0);
-  mix_u(cfg.use_sharded_engine ? 1 : 0);
   mix_d(cfg.engine_window);
-  mix_u(static_cast<std::uint64_t>(cfg.transport));
+  mix_u(cfg.engine_shards);
+  mix_u(cfg.bank_partitions);
+  mix_d(cfg.view_refresh);
   return h;
 }
 

@@ -24,17 +24,9 @@
 namespace p2panon::harness {
 
 /// Which carrier moves fault-mode legs/acks/keepalives and bank-fault
-/// claim/close traffic.
-enum class TransportBackend : std::uint8_t {
-  /// Legacy direct in-sim delivery: the runners schedule continuations
-  /// themselves, nothing is framed.
-  kDirect = 0,
-  /// transport::SimTransport: identical delivery (same draws, same
-  /// schedule — pinned bitwise against kDirect by
-  /// tests/harness/test_transport_equivalence.cpp), with every message
-  /// additionally round-tripped through the wire codec and counted.
-  kSim = 1,
-};
+/// claim/close traffic. transport::SimTransport is the only one: every
+/// message round-trips through the wire codec and is counted.
+enum class TransportBackend : std::uint8_t { kSim };
 
 struct ScenarioConfig {
   std::uint64_t seed = 1;
@@ -101,20 +93,17 @@ struct ScenarioConfig {
   /// before/after benchmarking.
   bool use_decision_cache = true;
 
-  /// Drive the replicate through the sharded engine at K = 1 instead of the
-  /// plain serial Simulator. Bitwise identical either way (the windowed
-  /// drive of one shard preserves event order; pinned by
-  /// test_sharded_equivalence) — the switch exists for that proof. The full
-  /// paper scenario shares one Overlay and one HistoryStore, so it only
-  /// runs single-sharded; K > 1 lives in the sharded scale scenario
-  /// (harness/sharded_scenario).
-  bool use_sharded_engine = false;
-  /// Window-synchronisation quantum when use_sharded_engine is set.
+  /// Window-synchronisation quantum of the sharded engine (K > 1 only).
   sim::Time engine_window = sim::minutes(5.0);
 
-  /// Engine shards for the full paper scenario. 1 (default) keeps today's
-  /// path — serial, or the windowed K = 1 drive above, both bitwise-pinned
-  /// to each other. > 1 routes the replicate through the windowed sharded
+  /// Constants, not knobs: the serial runner always uses one plain
+  /// Simulator and the SimTransport message path. They stay members so
+  /// callers that check them (perfbench's traced runner) keep compiling.
+  static constexpr bool use_sharded_engine = false;
+  static constexpr TransportBackend transport = TransportBackend::kSim;
+
+  /// Engine shards for the full paper scenario. 1 (default) runs the serial
+  /// engine. > 1 routes the replicate through the windowed sharded
   /// paper runner (harness/paper_sharded.hpp): node-partitioned
   /// history/probing state behind barrier-merged read views, pair
   /// settlement batched through the window-barrier hook onto the sharded
@@ -133,12 +122,6 @@ struct ScenarioConfig {
   /// runs whose windows both divide R refresh identical views at identical
   /// absolute times.
   sim::Time view_refresh = 0.0;
-
-  /// Transport backend for fault/bank-fault message traffic. kSim (default)
-  /// is bitwise-identical to kDirect in every result field except the
-  /// transport_* counters; the K > 1 sharded paper runner ignores this knob
-  /// (its messaging is the window mailbox, not per-hop frames).
-  TransportBackend transport = TransportBackend::kSim;
 };
 
 /// Everything the benches and EXPERIMENTS.md need from one replicate.
@@ -200,10 +183,10 @@ struct ScenarioResult {
   std::uint64_t engine_events_cancelled = 0;
   std::uint64_t engine_events_fired = 0;
   std::uint64_t engine_callback_heap_allocs = 0;
-  /// Sharded-engine counters: zero on the serial path; on the sharded path
-  /// cross-shard messages stay zero at K = 1 (everything is shard-local)
-  /// while window barriers count the windowed drive's synchronisation
-  /// points. Deterministic, so the determinism suite pins both.
+  /// Sharded-engine counters (K > 1 only; zero on the serial path): posts
+  /// that crossed a shard boundary and the windowed drive's
+  /// synchronisation points. Deterministic, so the determinism suite pins
+  /// both.
   std::uint64_t engine_cross_shard_messages = 0;
   std::uint64_t engine_window_barriers = 0;
 
@@ -228,9 +211,9 @@ struct ScenarioResult {
   /// side). Vacuously true outside bank-fault mode.
   bool settlement_reconciled = true;
 
-  // --- Transport-plane counters (zero under kDirect and outside fault/
-  // bank-fault modes — the synchronous path sends no messages). Under kSim
-  // these count codec-verified frames; deterministic, pinned by the
+  // --- Transport-plane counters (zero outside fault/bank-fault modes —
+  // the synchronous path sends no messages). They count codec-verified
+  // frames; deterministic, pinned by the
   // determinism suite alongside the engine counters. The TCP-only rows
   // (reconnects, backoff, heartbeats, deadlines) stay zero in-sim and are
   // populated by the multi-process chaos driver's processes instead.

@@ -1,9 +1,9 @@
 #include "harness/sharded_scenario.hpp"
 
 #include <cassert>
-#include <bit>
 
 #include "core/shard_quality.hpp"
+#include "harness/checkpoint.hpp"
 #include "net/sharded_probing.hpp"
 #include "net/soa.hpp"
 #include "sim/rng.hpp"
@@ -15,18 +15,6 @@ namespace p2panon::harness {
 namespace {
 
 using net::NodeId;
-
-/// FNV-1a 64 over 8-byte words.
-struct Fingerprint {
-  std::uint64_t h = 1469598103934665603ULL;
-  void add(std::uint64_t x) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (i * 8)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-  void add_double(double d) noexcept { add(std::bit_cast<std::uint64_t>(d)); }
-};
 
 /// The whole sharded world: SoA overlay state, shard-scoped estimators,
 /// per-shard counters, and the event handlers. Bound either to a
@@ -296,29 +284,31 @@ class World {
   }
 
   [[nodiscard]] std::uint64_t digest() const {
-    Fingerprint f;
+    std::uint64_t h = fnv1a_init();
+    const auto mix_u = [&h](std::uint64_t v) { h = fnv1a_mix(h, v); };
+    const auto mix_d = [&h](double v) { h = fnv1a_double(h, v); };
     for (const ShardCounters& c : counters_) {
-      f.add(c.connections_launched);
-      f.add(c.connections_acked);
-      f.add(c.ack_timeouts);
-      f.add(c.no_candidate);
-      f.add(c.hops_forwarded);
-      f.add(c.churn_events);
-      f.add(c.departures);
-      f.add(c.claims_settled);
+      mix_u(c.connections_launched);
+      mix_u(c.connections_acked);
+      mix_u(c.ack_timeouts);
+      mix_u(c.no_candidate);
+      mix_u(c.hops_forwarded);
+      mix_u(c.churn_events);
+      mix_u(c.departures);
+      mix_u(c.claims_settled);
     }
     for (NodeId id = 0; id < cfg_.node_count; ++id) {
-      f.add(state_.online[id] | (static_cast<std::uint64_t>(state_.departed[id]) << 8) |
+      mix_u(state_.online[id] | (static_cast<std::uint64_t>(state_.departed[id]) << 8) |
             (static_cast<std::uint64_t>(churn_cycle_[id]) << 16));
-      f.add_double(state_.tracker[id].availability(cfg_.duration));
-      f.add(probing_->epoch(id));
+      mix_d(state_.tracker[id].availability(cfg_.duration));
+      mix_u(probing_->epoch(id));
       for (std::size_t slot = 0; slot < cfg_.degree; ++slot) {
-        f.add_double(probing_->observed_session_time(id, slot));
-        f.add(quality_->attempts(id, slot) |
+        mix_d(probing_->observed_session_time(id, slot));
+        mix_u(quality_->attempts(id, slot) |
               (static_cast<std::uint64_t>(quality_->successes(id, slot)) << 32));
       }
     }
-    return f.h;
+    return h;
   }
 
   ShardedScenarioConfig cfg_;

@@ -1,17 +1,18 @@
-// SimTransport: the discrete-event backend of the transport plane.
+// SimTransport: the discrete-event backend of the transport plane, and the
+// one path every in-sim protocol message takes (setup legs, acks, NACKs,
+// keepalives, claims, closes).
 //
-// Reproduces the legacy direct-delivery path *bitwise*. The pinned
-// equivalence (tests/harness/test_transport_equivalence.cpp) holds because
-// send() is shaped exactly like the inline code it replaced:
+// The golden pins in tests/harness/test_engine_equivalence.cpp hold every
+// result bitwise, which send() keeps by three rules:
 //
 //   1. fault drop draw FIRST, extra-delay draw SECOND (same RNG order);
 //   2. one schedule_in() per surviving frame, with the caller's
-//      continuation scheduled *unwrapped* — the event capture is
-//      byte-identical to the legacy lambda, so the engine's inline-callback
-//      buffer (and its pinned zero heap-fallback count) is untouched;
+//      continuation scheduled *unwrapped* — the event capture is the
+//      caller's own lambda, so the engine's inline-callback buffer (and
+//      its pinned zero heap-fallback count) is untouched;
 //   3. no additional events, draws, or clock reads anywhere.
 //
-// What it adds on top: every frame round-trips through the wire codec
+// Every frame also round-trips through the wire codec
 // (encode -> decode -> operator==) before delivery. A message the codec
 // cannot carry faithfully aborts the simulation — the in-sim protocol and
 // the TCP wire format are forced to stay the same protocol.
@@ -42,7 +43,7 @@ class SimTransport {
 
   /// Frame `msg` and deliver it from -> to through the event engine.
   /// Returns false when the fault injector ate the frame (the caller's
-  /// timeout machinery handles the loss, exactly as before). `deliver` is
+  /// timeout machinery handles the loss). `deliver` is
   /// scheduled verbatim after the link's flight time.
   template <typename F>
   bool send(net::NodeId from, net::NodeId to, const wire::WireMessage& msg, F&& deliver) {
@@ -60,9 +61,8 @@ class SimTransport {
   }
 
   /// The settlement plane: messages to the bank are framed and verified
-  /// like any other, then dispatched synchronously (the legacy path called
-  /// the engine directly inside an already-scheduled event; adding a hop
-  /// here would perturb event ordering).
+  /// like any other, then dispatched synchronously inside the event that
+  /// posts them (an extra hop here would perturb event ordering).
   void set_bank_handler(std::function<void(const wire::WireMessage&)> handler) {
     bank_handler_ = std::move(handler);
   }

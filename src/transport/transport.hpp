@@ -4,9 +4,8 @@
 // settlement) speaks wire::WireMessage. Below it sit two backends:
 //
 //   * SimTransport (sim_transport.hpp) — routes messages through the
-//     discrete-event engine, reproducing the legacy direct delivery
-//     *bitwise*: same RNG draw order, same schedule order, same event
-//     capture sizes. Every frame round-trips through the wire codec as a
+//     discrete-event engine: fault draws, then one scheduled delivery
+//     carrying the caller's own continuation. Every frame round-trips through the wire codec as a
 //     self-check, so the in-sim protocol and the on-the-wire format cannot
 //     drift apart.
 //

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -262,6 +263,84 @@ TEST(AdaptiveRunner, FingerprintMismatchDiscardsStoredCell) {
   const auto b = runner.run_cell("cell", 8, 8, replicate);
   EXPECT_EQ(calls, 16u);
   EXPECT_FALSE(b.outcome.resumed);
+}
+
+TEST(ConfigFingerprint, EveryResultChangingFieldMovesIt) {
+  // A checkpoint is resumed only under an equal fingerprint, so every knob
+  // that can change a replicate's results must move it. One field at a
+  // time, each to a value that differs from the default.
+  struct Change {
+    const char* field;
+    void (*apply)(ScenarioConfig&);
+  };
+  const Change changes[] = {
+      {"engine_shards", [](ScenarioConfig& c) { c.engine_shards = 4; }},
+      {"bank_partitions", [](ScenarioConfig& c) { c.bank_partitions = 2; }},
+      {"view_refresh", [](ScenarioConfig& c) { c.view_refresh = 600.0; }},
+      {"engine_window", [](ScenarioConfig& c) { c.engine_window = 60.0; }},
+      {"probing.period", [](ScenarioConfig& c) { c.probing.period = 120.0; }},
+      {"overlay.link.bandwidth_lo", [](ScenarioConfig& c) { c.overlay.link.bandwidth_lo = 2.0; }},
+      {"overlay.link.bandwidth_hi", [](ScenarioConfig& c) { c.overlay.link.bandwidth_hi = 20.0; }},
+      {"overlay.link.cost_scale", [](ScenarioConfig& c) { c.overlay.link.cost_scale = 2.0; }},
+      {"overlay.link.payload_size", [](ScenarioConfig& c) { c.overlay.link.payload_size = 2.0; }},
+      {"overlay.link.propagation_delay",
+       [](ScenarioConfig& c) { c.overlay.link.propagation_delay = 0.1; }},
+      {"async_setup.backoff_base", [](ScenarioConfig& c) { c.async_setup.backoff_base = 3.0; }},
+      {"async_setup.backoff_cap", [](ScenarioConfig& c) { c.async_setup.backoff_cap = 30.0; }},
+      {"async_setup.backoff_jitter",
+       [](ScenarioConfig& c) { c.async_setup.backoff_jitter = 0.25; }},
+      {"async_setup.max_attempts", [](ScenarioConfig& c) { c.async_setup.max_attempts = 4; }},
+      {"async_setup.ack_timeout_factor",
+       [](ScenarioConfig& c) { c.async_setup.ack_timeout_factor = 2.0; }},
+      {"async_setup.ack_timeout_slack",
+       [](ScenarioConfig& c) { c.async_setup.ack_timeout_slack = 2.0; }},
+      {"async_setup.attempt_deadline",
+       [](ScenarioConfig& c) { c.async_setup.attempt_deadline = 180.0; }},
+      {"data_phase.duration", [](ScenarioConfig& c) { c.data_phase.duration = 60.0; }},
+      {"data_phase.keepalive_interval",
+       [](ScenarioConfig& c) { c.data_phase.keepalive_interval = 10.0; }},
+      {"data_phase.ack_timeout_factor",
+       [](ScenarioConfig& c) { c.data_phase.ack_timeout_factor = 2.0; }},
+      {"data_phase.ack_timeout_slack",
+       [](ScenarioConfig& c) { c.data_phase.ack_timeout_slack = 2.0; }},
+      {"data_phase.max_reformations",
+       [](ScenarioConfig& c) { c.data_phase.max_reformations = 2; }},
+      {"path_builder.max_forwarders",
+       [](ScenarioConfig& c) { c.path_builder.max_forwarders = 16; }},
+      {"path_builder.allow_declines",
+       [](ScenarioConfig& c) { c.path_builder.allow_declines = false; }},
+      {"anonymity.form",
+       [](ScenarioConfig& c) { c.anonymity.form = metrics::AnonymityFunctional::kInverse; }},
+      {"anonymity.scale", [](ScenarioConfig& c) { c.anonymity.scale = 5000.0; }},
+      {"anonymity.lambda", [](ScenarioConfig& c) { c.anonymity.lambda = 10.0; }},
+      {"fault.partitions (count)",
+       [](ScenarioConfig& c) { c.fault.partitions.push_back({600.0, 1200.0}); }},
+      {"seed", [](ScenarioConfig& c) { c.seed = 2; }},
+      {"tau", [](ScenarioConfig& c) { c.tau = 4.0; }},
+      {"fault.link_loss", [](ScenarioConfig& c) { c.fault.link_loss = 0.05; }},
+  };
+  const ScenarioConfig base = paper_default_config(1);
+  const std::uint64_t base_fp = config_fingerprint(base);
+  EXPECT_EQ(config_fingerprint(base), base_fp) << "the fingerprint must be a pure function";
+  std::vector<std::uint64_t> seen{base_fp};
+  for (const Change& change : changes) {
+    ScenarioConfig cfg = base;
+    change.apply(cfg);
+    const std::uint64_t fp = config_fingerprint(cfg);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), fp), 0) << change.field;
+    seen.push_back(fp);
+  }
+
+  // Partition windows: the contents count, not just how many there are.
+  ScenarioConfig one = base;
+  one.fault.partitions.push_back({600.0, 1200.0});
+  ScenarioConfig moved = one;
+  moved.fault.partitions[0].start = 900.0;
+  ScenarioConfig stretched = one;
+  stretched.fault.partitions[0].end = 1800.0;
+  EXPECT_NE(config_fingerprint(moved), config_fingerprint(one));
+  EXPECT_NE(config_fingerprint(stretched), config_fingerprint(one));
+  EXPECT_NE(config_fingerprint(moved), config_fingerprint(stretched));
 }
 
 TEST(AdaptiveRunner, AdaptiveStopsEarlyOnTightCell) {
