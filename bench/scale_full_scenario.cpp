@@ -1,14 +1,17 @@
 // BENCH_full_scenario: how the *full paper scenario* scales with engine
 // shards — the sharded paper runner (harness/paper_sharded) swept over a
 // K x N grid in the paper-default shape and in fault mode (link loss plus
-// the bank-fault settlement lifecycle), written to BENCH_full_scenario.json.
+// the bank-fault settlement lifecycle), with a window-length axis at K = 4,
+// written to BENCH_full_scenario.json. This is the repo's one sharded
+// scale sweep, N = 40 up to N = 10^5.
 //
 // Each cell reports wall-clock time, events/sec (engine events fired over
 // wall time), the settlement-plane outcome counters, and the adaptive-
 // replication outcome (replicates used vs planned). Every replicate
 // re-checks the model invariants — exact conservation in every bank
-// partition and globally, full reconciliation, digest determinism — so the
-// sweep doubles as a gate.
+// partition and globally, full reconciliation, digest determinism — and
+// every cell must stay allocation-free (zero EventCallback heap fallbacks)
+// and, at K > 1, actually route cross-shard, so the sweep doubles as a gate.
 //
 // Throughput gate: events/sec at K = 4 must be >= 2x the K = 1 cell at the
 // largest paper-default point (N >= 10^4). The gate needs real cores to
@@ -16,19 +19,22 @@
 // the box has fewer than 8 hardware threads; wall-clock numbers are still
 // recorded honestly either way.
 //
-// Knobs: --smoke runs one small K = 4 cell twice and asserts completion,
-// digest determinism and reconciliation — no timing gates (the
-// `scale-smoke-full` ctest entry); --adaptive enables sequential stopping
-// per cell on the events/sec CI (±eps relative) with the invariant columns
-// as pass-rate targets; --checkpoint makes the grid crash-recoverable cell
-// by cell. Environment: P2PANON_FULL_MAX_N (default 10000) caps the sweep,
-// plus the usual P2PANON_SEED / P2PANON_THREADS / P2PANON_CSV_DIR and the
-// adaptive knobs P2PANON_ADAPTIVE / P2PANON_EPS / P2PANON_CHECKPOINT.
+// Knobs: --smoke runs one small K = 4 cell twice and --sharded-smoke the
+// N = 10^5, K = 4 paper cell twice; both assert completion, digest
+// determinism, conservation, reconciliation, zero heap fallbacks and
+// cross-shard traffic — no timing gates (the `scale-smoke-full` and
+// `scale-smoke-sharded` ctest entries). --adaptive enables sequential
+// stopping per cell on the events/sec CI (±eps relative) with the invariant
+// columns as pass-rate targets; --checkpoint makes the grid crash-
+// recoverable cell by cell. Environment: P2PANON_FULL_MAX_N (default
+// 100000) caps the sweep, plus the usual P2PANON_SEED / P2PANON_THREADS /
+// P2PANON_CSV_DIR and the adaptive knobs P2PANON_ADAPTIVE / P2PANON_EPS /
+// P2PANON_CHECKPOINT.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -59,11 +65,17 @@ constexpr GridPoint kGrid[] = {
     {400, 6, 200},
     {2000, 8, 1000},
     {10000, 10, 2500},
+    {100000, 10, 25000},
 };
-constexpr std::uint32_t kShardCounts[] = {1, 2, 4};
+constexpr std::uint32_t kShardCounts[] = {1, 2, 4, 8};
+/// Window lengths W (s). Every one divides view_refresh = 300 s, so by the
+/// runner's determinism contract W moves the cost, never the model.
+constexpr double kDefaultWindow = 60.0;
+constexpr double kWindowAxis[] = {30.0, 150.0};  ///< swept at K = 4 only
+constexpr std::uint32_t kWindowAxisShards = 4;
 
-harness::ScenarioConfig cell_config(const GridPoint& p, std::uint32_t shards, bool fault_mode,
-                                    std::uint64_t seed) {
+harness::ScenarioConfig cell_config(const GridPoint& p, std::uint32_t shards, double window,
+                                    bool fault_mode, std::uint64_t seed) {
   harness::ScenarioConfig cfg = harness::paper_default_config(seed);
   cfg.overlay.node_count = static_cast<std::uint32_t>(p.n);
   cfg.overlay.degree = static_cast<std::uint32_t>(p.degree);
@@ -72,7 +84,7 @@ harness::ScenarioConfig cell_config(const GridPoint& p, std::uint32_t shards, bo
   cfg.warmup = sim::minutes(30.0);
   cfg.pair_start_window = sim::minutes(45.0);
   cfg.engine_shards = shards;
-  cfg.engine_window = 60.0;
+  cfg.engine_window = window;
   cfg.view_refresh = 300.0;
   if (fault_mode) {
     cfg.fault.link_loss = 0.05;
@@ -87,6 +99,7 @@ harness::ScenarioConfig cell_config(const GridPoint& p, std::uint32_t shards, bo
 struct CellRow {
   std::size_t n = 0;
   std::uint32_t shards = 0;
+  double window = 0.0;
   const char* mode = "";
   double events_per_sec = 0.0;  ///< across-replicate mean
   double wall_ms = 0.0;         ///< across-replicate mean
@@ -94,33 +107,38 @@ struct CellRow {
   double completed = 0.0;
   double closed = 0.0;
   double cross_shard = 0.0;
+  double heap_allocs = 0.0;
   bool conserved = false;
   bool reconciled = false;
   harness::AdaptiveOutcome outcome;
 };
 
-std::uint64_t cell_fingerprint(const GridPoint& p, std::uint32_t shards, bool fault_mode) {
+std::uint64_t cell_fingerprint(const GridPoint& p, std::uint32_t shards, double window,
+                               bool fault_mode) {
   std::uint64_t h = harness::fnv1a_init();
   h = harness::fnv1a_bytes(h, "full_scenario_v1");
   h = harness::fnv1a_mix(h, p.n);
   h = harness::fnv1a_mix(h, p.degree);
   h = harness::fnv1a_mix(h, p.pairs);
   h = harness::fnv1a_mix(h, shards);
+  h = harness::fnv1a_double(h, window);
   h = harness::fnv1a_mix(h, fault_mode ? 1 : 0);
   h = harness::fnv1a_mix(h, bench::base_seed());
   return h;
 }
 
 CellRow run_cell(harness::AdaptiveRunner& runner, const GridPoint& p, std::uint32_t shards,
-                 bool fault_mode, std::size_t planned) {
+                 double window, bool fault_mode, std::size_t planned) {
   // Replicates run sequentially (run_cell pool = nullptr): each replicate
   // drives the windowed sharded engine from the *shared* pool, and a
   // windowed ShardedSimulator must never run from inside a task on the pool
   // it borrows (wait_idle would deadlock).
   const std::string key = std::string(fault_mode ? "fault" : "paper") + "/n" +
-                          std::to_string(p.n) + "/k" + std::to_string(shards);
+                          std::to_string(p.n) + "/k" + std::to_string(shards) + "/w" +
+                          std::to_string(static_cast<int>(window));
   const auto replicate = [&](std::size_t i) {
-    harness::ScenarioConfig cfg = cell_config(p, shards, fault_mode, bench::base_seed() + i);
+    harness::ScenarioConfig cfg =
+        cell_config(p, shards, window, fault_mode, bench::base_seed() + i);
     const auto t0 = std::chrono::steady_clock::now();
     const harness::ScenarioResult r =
         harness::run_paper_scenario_sharded(cfg, &bench::shared_pool());
@@ -135,14 +153,16 @@ CellRow run_cell(harness::AdaptiveRunner& runner, const GridPoint& p, std::uint3
                                static_cast<double>(r.engine_events_fired),
                                static_cast<double>(r.connections_completed),
                                static_cast<double>(r.settlements_closed),
-                               static_cast<double>(r.engine_cross_shard_messages)};
+                               static_cast<double>(r.engine_cross_shard_messages),
+                               static_cast<double>(r.engine_callback_heap_allocs)};
   };
-  const harness::AdaptiveCellResult cell =
-      runner.run_cell(key, cell_fingerprint(p, shards, fault_mode), planned, replicate, nullptr);
+  const harness::AdaptiveCellResult cell = runner.run_cell(
+      key, cell_fingerprint(p, shards, window, fault_mode), planned, replicate, nullptr);
 
   CellRow row;
   row.n = p.n;
   row.shards = shards;
+  row.window = window;
   row.mode = fault_mode ? "fault" : "paper";
   row.events_per_sec = cell.metrics[0].mean();
   row.wall_ms = cell.metrics[1].mean();
@@ -152,13 +172,24 @@ CellRow run_cell(harness::AdaptiveRunner& runner, const GridPoint& p, std::uint3
   row.completed = cell.sums[5];
   row.closed = cell.sums[6];
   row.cross_shard = cell.sums[7];
+  row.heap_allocs = cell.sums[8];
   row.outcome = cell.outcome;
   std::cout << key << ": " << static_cast<std::uint64_t>(row.events_per_sec)
             << " events/sec, wall " << row.wall_ms << " ms, replicates "
             << row.outcome.replicates_used << "/" << row.outcome.replicates_planned
             << (row.conserved ? "" : "  CONSERVATION VIOLATED")
-            << (row.reconciled ? "" : "  RECONCILIATION FAILED") << "\n";
+            << (row.reconciled ? "" : "  RECONCILIATION FAILED")
+            << (row.heap_allocs == 0.0 ? "" : "  HEAP FALLBACKS")
+            << (row.shards == 1 || row.cross_shard > 0.0 ? "" : "  NO CROSS-SHARD TRAFFIC")
+            << "\n";
   return row;
+}
+
+/// Model invariants every cell must hold — never timing, so they hold on an
+/// arbitrarily loaded box.
+bool cell_invariants_hold(const CellRow& r) {
+  return r.conserved && r.reconciled && r.heap_allocs == 0.0 &&
+         (r.shards == 1 || r.cross_shard > 0.0);
 }
 
 void emit_json(const std::vector<CellRow>& rows, bool gate_enabled, double gate_speedup,
@@ -171,11 +202,13 @@ void emit_json(const std::vector<CellRow>& rows, bool gate_enabled, double gate_
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CellRow& r = rows[i];
     out << "    {\"mode\": \"" << r.mode << "\", \"n\": " << r.n << ", \"shards\": " << r.shards
-        << ", \"events_per_sec\": " << r.events_per_sec << ", \"wall_ms\": " << r.wall_ms
+        << ", \"window_s\": " << r.window << ", \"events_per_sec\": " << r.events_per_sec
+        << ", \"wall_ms\": " << r.wall_ms
         << ", \"events_fired\": " << static_cast<std::uint64_t>(r.events_fired)
         << ", \"connections_completed\": " << static_cast<std::uint64_t>(r.completed)
         << ", \"settlements_closed\": " << static_cast<std::uint64_t>(r.closed)
         << ", \"cross_shard_messages\": " << static_cast<std::uint64_t>(r.cross_shard)
+        << ", \"callback_heap_allocs\": " << static_cast<std::uint64_t>(r.heap_allocs)
         << ", \"conserved\": " << (r.conserved ? "true" : "false")
         << ", \"reconciled\": " << (r.reconciled ? "true" : "false") << ", "
         << bench::adaptive_json_fields(r.outcome) << "}" << (i + 1 < rows.size() ? "," : "")
@@ -191,12 +224,13 @@ void emit_json(const std::vector<CellRow>& rows, bool gate_enabled, double gate_
   bench::write_bench_json("BENCH_full_scenario.json", out.str());
 }
 
-/// --smoke: one small K = 4 cell run twice — completion, digest
-/// determinism, conservation, reconciliation. No timing gates, so it cannot
-/// flake under a loaded CI box; the ctest TIMEOUT is the only clock.
-int run_smoke() {
-  const GridPoint p{400, 6, 200};
-  harness::ScenarioConfig cfg = cell_config(p, 4, /*fault_mode=*/false, bench::base_seed());
+/// --smoke / --sharded-smoke: one K = 4 paper cell run twice — completion,
+/// digest determinism, conservation, reconciliation, zero heap fallbacks
+/// and cross-shard traffic. No timing gates, so it cannot flake under a
+/// loaded CI box; the ctest TIMEOUT is the only clock.
+int run_smoke(const GridPoint& p) {
+  harness::ScenarioConfig cfg =
+      cell_config(p, 4, kDefaultWindow, /*fault_mode=*/false, bench::base_seed());
   const harness::ScenarioResult a =
       harness::run_paper_scenario_sharded(cfg, &bench::shared_pool());
   const harness::ScenarioResult b =
@@ -215,10 +249,20 @@ int run_smoke() {
     std::cerr << "smoke: scenario produced no settled traffic\n";
     ok = false;
   }
+  if (a.engine_callback_heap_allocs != 0 || b.engine_callback_heap_allocs != 0) {
+    std::cerr << "smoke: " << a.engine_callback_heap_allocs << " + "
+              << b.engine_callback_heap_allocs << " callback heap fallbacks\n";
+    ok = false;
+  }
+  if (a.engine_cross_shard_messages == 0) {
+    std::cerr << "smoke: K=4 routed nothing cross-shard\n";
+    ok = false;
+  }
   std::cout << "smoke: K=4 N=" << p.n << " digest " << a.sharded_digest << ", "
             << a.connections_completed << " connections, " << a.settlements_closed
-            << " settlements closed, conserved="
-            << (a.payment_conserved ? "true" : "false") << "\n";
+            << " settlements closed, " << a.engine_cross_shard_messages
+            << " cross-shard messages, conserved=" << (a.payment_conserved ? "true" : "false")
+            << "\n";
   return ok ? 0 : 1;
 }
 
@@ -227,10 +271,11 @@ int run_smoke() {
 int main(int argc, char** argv) {
   const harness::AdaptiveConfig adaptive = bench::parse_sweep_options(argc, argv, 0.05);
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke();
+    if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke({400, 6, 200});
+    if (std::strcmp(argv[i], "--sharded-smoke") == 0) return run_smoke({100000, 10, 25000});
   }
 
-  const std::size_t max_n = bench::env_size("P2PANON_FULL_MAX_N", 10000);
+  const std::size_t max_n = bench::env_size("P2PANON_FULL_MAX_N", 100000);
   const std::size_t planned = bench::env_size("P2PANON_REPLICATES", 2);
   const unsigned hw_threads = std::thread::hardware_concurrency();
 
@@ -243,27 +288,32 @@ int main(int argc, char** argv) {
       {"connections_completed", harness::MetricSpec::Kind::kSum},
       {"settlements_closed", harness::MetricSpec::Kind::kSum},
       {"cross_shard_messages", harness::MetricSpec::Kind::kSum},
+      {"callback_heap_allocs", harness::MetricSpec::Kind::kSum},
   };
   harness::AdaptiveRunner runner(adaptive, specs);
 
   std::vector<CellRow> rows;
-  bool invariants_ok = true;
   for (const bool fault_mode : {false, true}) {
     for (const GridPoint& p : kGrid) {
       if (p.n > max_n) continue;
       for (const std::uint32_t k : kShardCounts) {
-        const CellRow row = run_cell(runner, p, k, fault_mode, planned);
-        invariants_ok = invariants_ok && row.conserved && row.reconciled;
-        rows.push_back(row);
+        rows.push_back(run_cell(runner, p, k, kDefaultWindow, fault_mode, planned));
+      }
+      for (const double w : kWindowAxis) {
+        rows.push_back(run_cell(runner, p, kWindowAxisShards, w, fault_mode, planned));
       }
     }
   }
 
-  // Throughput gate: K = 4 vs K = 1 at the largest paper-default point.
+  // Throughput gate: K = 4 vs K = 1 at the largest paper-default point, both
+  // at the default window.
   double gate_speedup = 0.0;
   std::size_t gate_n = 0;
   for (const CellRow& r : rows) {
-    if (std::strcmp(r.mode, "paper") != 0 || r.n < kGateMinN || r.n < gate_n) continue;
+    if (std::strcmp(r.mode, "paper") != 0 || r.n < kGateMinN || r.n < gate_n ||
+        r.window != kDefaultWindow) {
+      continue;
+    }
     const CellRow* k1 = nullptr;
     for (const CellRow& s : rows) {
       if (s.n == r.n && std::strcmp(s.mode, "paper") == 0 && s.shards == 1) k1 = &s;
@@ -285,7 +335,7 @@ int main(int argc, char** argv) {
   }
 
   emit_json(rows, gate_enabled, gate_speedup, gate_pass, hw_threads);
-  if (!invariants_ok) {
+  if (!std::all_of(rows.begin(), rows.end(), cell_invariants_hold)) {
     std::cerr << "invariant violation in at least one cell\n";
     return 1;
   }

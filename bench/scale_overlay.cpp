@@ -18,49 +18,29 @@
 //     pending set proportional to N. Legacy cancel() is O(pending), so the
 //     speedup grows with N; the acceptance bar is >= 5x at N = 1000.
 //
-//  3. Sharded scale sweep — the windowed sharded workload
-//     (harness/sharded_scenario) at N up to 10^5 by default (10^6 via the
-//     env knob), swept over shard count K x window size W, written to
-//     BENCH_scale_overlay.json: per-point events/sec, peak RSS, cancel
-//     ratio, cross-shard traffic and barrier counts, and the per-shard
-//     model counters. Every point re-checks the model invariants (claim
-//     conservation, zero heap fallbacks) so the sweep doubles as a gate.
-//
 // Knobs: --smoke runs only the N = 1000 point of parts 1-2 with one
-// replicate and a shortened timing pass (the `scale-smoke` ctest entry);
-// --sharded-smoke runs only the N = 10^5, K = 4 sharded point twice and
-// asserts completion, determinism (digest-for-digest), claim conservation
-// and zero heap fallbacks — no timing gates, so it cannot flake under a
-// loaded CI box (the `scale-smoke-sharded` ctest entry). Both smoke modes
-// are gates: they print their rows and write no BENCH file, so running one
-// never overwrites a committed reference run. --adaptive raises
-// the part-1 replicate cap 4x and stops each point once its connection-
-// latency interval is within ±eps (relative); --checkpoint makes the
-// expensive part-3 grid crash-recoverable point by point (finished points
-// are replayed from the checkpoint instead of re-run). Environment:
-//   P2PANON_SCALE_MAX_N        largest part-1/2 sweep point (default 5000)
+// replicate and a shortened timing pass (the `scale-smoke` ctest entry). It
+// prints its rows and writes no BENCH file, so running it never overwrites
+// a committed reference run; it gates only on zero heap fallbacks and
+// prints the part-2 speedup without gating on it (a wall-clock ratio
+// flakes on a loaded box — the full run, in the CI `scale` job, enforces
+// the >= 5x bar). --adaptive raises the part-1 replicate cap 4x and stops
+// each point once its connection-latency interval is within ±eps
+// (relative). Environment:
+//   P2PANON_SCALE_MAX_N        largest sweep point (default 5000)
 //   P2PANON_SCALE_REPLICATES   replicates per part-1 point (default 2)
-//   P2PANON_SHARDED_MAX_N      largest sharded sweep point (default 100000)
-//   P2PANON_SHARDED_DURATION_MIN  simulated minutes per point (default 20)
 // plus the usual P2PANON_SEED / P2PANON_THREADS / P2PANON_CSV_DIR and the
-// adaptive knobs P2PANON_ADAPTIVE / P2PANON_EPS / P2PANON_CHECKPOINT.
-#include <sys/resource.h>
-
+// adaptive knobs P2PANON_ADAPTIVE / P2PANON_EPS.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
-#include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
-#include "harness/checkpoint.hpp"
-#include "harness/sharded_scenario.hpp"
 #include "legacy_event_queue.hpp"
 #include "sim/event_queue.hpp"
 
@@ -130,7 +110,7 @@ SweepRow run_sweep_point(const SweepPoint& p, bool fault_mode, std::size_t repli
   const harness::ScenarioConfig cfg = scaled_config(p, fault_mode);
   // Adaptive mode: connection latency (relative ±eps) decides when a point
   // has enough replicates; the cap is 4x the configured count. Checkpointing
-  // stays off for part 1 (points are cheap relative to part 3).
+  // stays off: every point is cheap enough to re-run.
   const std::vector<harness::TrackedScenarioMetric> tracked = {
       {"connection_latency", &harness::ReplicatedResult::connection_latency, 0.0, true},
   };
@@ -260,87 +240,7 @@ BeforeAfter run_cancel_heavy(std::size_t n, bool smoke) {
   return BeforeAfter{n, pending, before_ns, after_ns};
 }
 
-// --- Part 3: sharded scale sweep -------------------------------------------
-
-/// Peak resident set size of this process in MiB (ru_maxrss is KiB on Linux).
-double peak_rss_mib() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
-
-harness::ShardedScenarioConfig sharded_config(std::size_t n, std::uint32_t shards,
-                                              double window) {
-  harness::ShardedScenarioConfig cfg;
-  cfg.seed = bench::base_seed();
-  cfg.node_count = n;
-  cfg.degree = 8;
-  cfg.shard_count = shards;
-  cfg.window = window;
-  cfg.duration = sim::minutes(
-      static_cast<double>(env_size("P2PANON_SHARDED_DURATION_MIN", 20)));
-  return cfg;
-}
-
-struct ShardedRow {
-  std::size_t n = 0;
-  std::uint32_t shards = 0;
-  double window = 0.0;
-  double wall_ms = 0.0;
-  double events_per_sec = 0.0;
-  double cancel_ratio = 0.0;   ///< cancelled / scheduled — the workload shape
-  double peak_rss_mib = 0.0;   ///< process high-water mark after the run
-  std::uint64_t fired = 0;
-  std::uint64_t heap_allocs = 0;
-  std::uint64_t cross_shard_messages = 0;
-  std::uint64_t window_barriers = 0;
-  std::uint64_t digest = 0;
-  bool claims_conserved = false;
-  std::vector<harness::ShardCounters> per_shard;
-};
-
-ShardedRow run_sharded_point(const harness::ShardedScenarioConfig& cfg) {
-  const auto start = std::chrono::steady_clock::now();
-  const harness::ShardedScenarioResult r =
-      harness::run_sharded_scenario(cfg, &bench::shared_pool());
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  ShardedRow row;
-  row.n = cfg.node_count;
-  row.shards = cfg.shard_count;
-  row.window = cfg.window;
-  row.wall_ms = std::chrono::duration<double, std::milli>(elapsed).count();
-  row.fired = r.engine.fired;
-  row.events_per_sec =
-      row.wall_ms > 0.0 ? static_cast<double>(r.engine.fired) / (row.wall_ms / 1000.0) : 0.0;
-  row.cancel_ratio = r.engine.scheduled > 0
-                         ? static_cast<double>(r.engine.cancelled) /
-                               static_cast<double>(r.engine.scheduled)
-                         : 0.0;
-  row.peak_rss_mib = peak_rss_mib();
-  row.heap_allocs = r.engine.callback_heap_allocs;
-  row.cross_shard_messages = r.cross_shard_messages;
-  row.window_barriers = r.window_barriers;
-  row.digest = r.digest;
-  row.claims_conserved = r.claims_settled == r.hops_forwarded;
-  row.per_shard = r.per_shard;
-  return row;
-}
-
-void print_sharded_row(const ShardedRow& row) {
-  std::cout << "sharded n=" << row.n << " K=" << row.shards << " W=" << row.window
-            << ": " << row.wall_ms << " ms, " << row.events_per_sec
-            << " events/s, cancel_ratio=" << row.cancel_ratio
-            << " cross_shard=" << row.cross_shard_messages
-            << " barriers=" << row.window_barriers << " rss=" << row.peak_rss_mib
-            << " MiB digest=" << std::hex << row.digest << std::dec << "\n";
-}
-
-}  // namespace
-
 // --- Output ----------------------------------------------------------------
-
-namespace {
 
 void write_json(const std::vector<SweepRow>& sweep,
                 const std::vector<BeforeAfter>& pairs) {
@@ -369,198 +269,13 @@ void write_json(const std::vector<SweepRow>& sweep,
   bench::write_bench_json("BENCH_sim_engine.json", out.str());
 }
 
-void write_sharded_json(const std::vector<ShardedRow>& rows) {
-  std::ostringstream out;
-  out << "{\n  \"threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"sharded_sweep\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ShardedRow& r = rows[i];
-    out << "    {\"n\": " << r.n << ", \"shards\": " << r.shards
-        << ", \"window_s\": " << r.window << ", \"wall_ms\": " << r.wall_ms
-        << ", \"events_fired\": " << r.fired
-        << ", \"events_per_sec\": " << r.events_per_sec
-        << ", \"cancel_ratio\": " << r.cancel_ratio
-        << ", \"peak_rss_mib\": " << r.peak_rss_mib
-        << ", \"callback_heap_allocs\": " << r.heap_allocs
-        << ", \"cross_shard_messages\": " << r.cross_shard_messages
-        << ", \"window_barriers\": " << r.window_barriers
-        << ", \"digest\": \"" << std::hex << r.digest << std::dec << "\""
-        << ", \"claims_conserved\": " << (r.claims_conserved ? "true" : "false")
-        << ", \"per_shard\": [";
-    for (std::size_t s = 0; s < r.per_shard.size(); ++s) {
-      const harness::ShardCounters& c = r.per_shard[s];
-      out << (s == 0 ? "" : ", ") << "{\"launched\": " << c.connections_launched
-          << ", \"acked\": " << c.connections_acked
-          << ", \"timeouts\": " << c.ack_timeouts
-          << ", \"hops\": " << c.hops_forwarded
-          << ", \"churn\": " << c.churn_events
-          << ", \"claims_settled\": " << c.claims_settled << "}";
-    }
-    out << "]}" << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  bench::write_bench_json("BENCH_scale_overlay.json", out.str());
-}
-
-// --- Part-3 checkpointing: one Checkpoint record set per sharded point ----
-// Wall-clock fields are checkpointed too (bit-exact, via encode_double):
-// a resumed sweep reports the timing the point actually ran with, not a
-// re-measure of a skipped run.
-
-std::string sharded_point_prefix(std::size_t n, std::uint32_t shards, double window) {
-  std::ostringstream key;
-  key << "sh." << n << "-" << shards << "-" << window << ".";
-  return key.str();
-}
-
-std::uint64_t sharded_point_fp(const harness::ShardedScenarioConfig& cfg) {
-  std::uint64_t h = harness::fnv1a_bytes(harness::fnv1a_init(), "scale_overlay.sharded");
-  h = harness::fnv1a_mix(h, cfg.seed);
-  h = harness::fnv1a_mix(h, cfg.node_count);
-  h = harness::fnv1a_mix(h, cfg.degree);
-  h = harness::fnv1a_mix(h, cfg.shard_count);
-  h = harness::fnv1a_double(h, cfg.window);
-  h = harness::fnv1a_double(h, cfg.duration);
-  return h;
-}
-
-void store_sharded_row(harness::Checkpoint& ckpt, const std::string& prefix,
-                       std::uint64_t fp, const ShardedRow& row) {
-  using harness::encode_double;
-  using harness::encode_u64;
-  ckpt.set(prefix + "fp", encode_u64(fp));
-  ckpt.set(prefix + "wall_ms", encode_double(row.wall_ms));
-  ckpt.set(prefix + "events_per_sec", encode_double(row.events_per_sec));
-  ckpt.set(prefix + "cancel_ratio", encode_double(row.cancel_ratio));
-  ckpt.set(prefix + "peak_rss_mib", encode_double(row.peak_rss_mib));
-  ckpt.set(prefix + "fired", encode_u64(row.fired));
-  ckpt.set(prefix + "heap_allocs", encode_u64(row.heap_allocs));
-  ckpt.set(prefix + "cross_shard", encode_u64(row.cross_shard_messages));
-  ckpt.set(prefix + "barriers", encode_u64(row.window_barriers));
-  ckpt.set(prefix + "digest", encode_u64(row.digest));
-  ckpt.set(prefix + "claims_conserved", row.claims_conserved ? "1" : "0");
-  ckpt.set(prefix + "shards.count", encode_u64(row.per_shard.size()));
-  for (std::size_t s = 0; s < row.per_shard.size(); ++s) {
-    const harness::ShardCounters& c = row.per_shard[s];
-    std::ostringstream val;
-    val << encode_u64(c.connections_launched) << " " << encode_u64(c.connections_acked) << " "
-        << encode_u64(c.ack_timeouts) << " " << encode_u64(c.hops_forwarded) << " "
-        << encode_u64(c.churn_events) << " " << encode_u64(c.claims_settled);
-    ckpt.set(prefix + "shard." + std::to_string(s), val.str());
-  }
-}
-
-bool load_sharded_row(const harness::Checkpoint& ckpt, const std::string& prefix,
-                      std::uint64_t fp, const harness::ShardedScenarioConfig& cfg,
-                      ShardedRow& row) {
-  using harness::decode_double;
-  using harness::decode_u64;
-  const auto get = [&](const char* key) { return ckpt.find(prefix + key); };
-  const std::string* stored_fp = get("fp");
-  if (stored_fp == nullptr || decode_u64(*stored_fp) != fp) return false;
-  const auto get_d = [&](const char* key, double& out) {
-    const std::string* v = get(key);
-    const auto x = v != nullptr ? decode_double(*v) : std::nullopt;
-    if (!x) return false;
-    out = *x;
-    return true;
-  };
-  const auto get_u = [&](const char* key, std::uint64_t& out) {
-    const std::string* v = get(key);
-    const auto x = v != nullptr ? decode_u64(*v) : std::nullopt;
-    if (!x) return false;
-    out = *x;
-    return true;
-  };
-  row.n = cfg.node_count;
-  row.shards = cfg.shard_count;
-  row.window = cfg.window;
-  if (!get_d("wall_ms", row.wall_ms) || !get_d("events_per_sec", row.events_per_sec) ||
-      !get_d("cancel_ratio", row.cancel_ratio) || !get_d("peak_rss_mib", row.peak_rss_mib) ||
-      !get_u("fired", row.fired) || !get_u("heap_allocs", row.heap_allocs) ||
-      !get_u("cross_shard", row.cross_shard_messages) ||
-      !get_u("barriers", row.window_barriers) || !get_u("digest", row.digest)) {
-    return false;
-  }
-  const std::string* conserved = get("claims_conserved");
-  if (conserved == nullptr || (*conserved != "0" && *conserved != "1")) return false;
-  row.claims_conserved = (*conserved == "1");
-  std::uint64_t shard_count = 0;
-  if (!get_u("shards.count", shard_count)) return false;
-  row.per_shard.assign(static_cast<std::size_t>(shard_count), {});
-  for (std::size_t s = 0; s < row.per_shard.size(); ++s) {
-    const std::string* v = ckpt.find(prefix + "shard." + std::to_string(s));
-    if (v == nullptr) return false;
-    std::istringstream in(*v);
-    std::string launched, acked, timeouts, hops, churn, claims;
-    if (!(in >> launched >> acked >> timeouts >> hops >> churn >> claims)) return false;
-    const auto l = decode_u64(launched);
-    const auto a = decode_u64(acked);
-    const auto t = decode_u64(timeouts);
-    const auto hp = decode_u64(hops);
-    const auto ch = decode_u64(churn);
-    const auto cl = decode_u64(claims);
-    if (!l || !a || !t || !hp || !ch || !cl) return false;
-    harness::ShardCounters& c = row.per_shard[s];
-    c.connections_launched = *l;
-    c.connections_acked = *a;
-    c.ack_timeouts = *t;
-    c.hops_forwarded = *hp;
-    c.churn_events = *ch;
-    c.claims_settled = *cl;
-  }
-  return true;
-}
-
-/// Model-invariant gates on one sharded point (never timing — they must hold
-/// on an arbitrarily loaded box).
-int check_sharded_row(const ShardedRow& row) {
-  int rc = 0;
-  if (!row.claims_conserved) {
-    std::cerr << "FAIL: claim ledger not conserved at n=" << row.n
-              << " K=" << row.shards << "\n";
-    rc = 1;
-  }
-  if (row.heap_allocs != 0) {
-    std::cerr << "FAIL: " << row.heap_allocs
-              << " callback heap fallbacks at n=" << row.n << " K=" << row.shards
-              << "\n";
-    rc = 1;
-  }
-  if (row.shards > 1 && row.cross_shard_messages == 0) {
-    std::cerr << "FAIL: K=" << row.shards << " routed nothing cross-shard at n="
-              << row.n << "\n";
-    rc = 1;
-  }
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const harness::AdaptiveConfig adaptive = bench::parse_sweep_options(argc, argv, 0.05);
   bool smoke = false;
-  bool sharded_smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--sharded-smoke") == 0) sharded_smoke = true;
-  }
-
-  if (sharded_smoke) {
-    // Tier-1 gate: the N = 10^5, K = 4 point must complete, conserve the
-    // claim ledger, stay allocation-free, actually route cross-shard, and —
-    // run twice — reproduce its digest bit for bit. No timing assertions.
-    const harness::ShardedScenarioConfig cfg = sharded_config(100'000, 4, 30.0);
-    const ShardedRow first = run_sharded_point(cfg);
-    print_sharded_row(first);
-    const ShardedRow second = run_sharded_point(cfg);
-    print_sharded_row(second);
-    int rc = check_sharded_row(first) | check_sharded_row(second);
-    if (first.digest != second.digest) {
-      std::cerr << "FAIL: sharded smoke digests diverged across identical runs\n";
-      rc = 1;
-    }
-    return rc;
   }
 
   const std::size_t max_n = env_size("P2PANON_SCALE_MAX_N", 5000);
@@ -592,90 +307,12 @@ int main(int argc, char** argv) {
 
   if (!smoke) write_json(sweep, pairs);
 
-  // Part 3: shard-count x window-size sweep at population scale. Each N gets
-  // the serial oracle as the single-threaded baseline, the K sweep at the
-  // default window, and the window sweep at K = 4.
+  // Acceptance gates: no scenario callback may fall back to the heap, and —
+  // in the full run only — the slot map must beat the legacy queue >= 5x on
+  // the cancel-heavy workload at N = 1000.
   int rc = 0;
-  if (!smoke) {
-    const std::size_t sharded_max_n = env_size("P2PANON_SHARDED_MAX_N", 100'000);
-    std::vector<ShardedRow> sharded_rows;
-
-    // Crash recovery for the expensive grid: finished points are replayed
-    // from the checkpoint; only missing points run.
-    const bool use_ckpt = !adaptive.checkpoint.empty();
-    harness::Checkpoint ckpt;
-    if (use_ckpt) {
-      if (auto loaded = harness::Checkpoint::load(adaptive.checkpoint)) {
-        ckpt = std::move(*loaded);
-      }
-    }
-    auto sharded_point = [&](const harness::ShardedScenarioConfig& cfg) {
-      const std::string prefix =
-          sharded_point_prefix(cfg.node_count, cfg.shard_count, cfg.window);
-      const std::uint64_t fp = sharded_point_fp(cfg);
-      ShardedRow row;
-      if (use_ckpt && load_sharded_row(ckpt, prefix, fp, cfg, row)) {
-        std::cout << "sharded n=" << row.n << " K=" << row.shards << " W=" << row.window
-                  << ": replayed from checkpoint\n";
-        return row;
-      }
-      row = run_sharded_point(cfg);
-      if (use_ckpt) {
-        store_sharded_row(ckpt, prefix, fp, row);
-        (void)ckpt.save(adaptive.checkpoint);
-      }
-      return row;
-    };
-
-    for (const std::size_t n : {std::size_t{10'000}, std::size_t{100'000},
-                                std::size_t{1'000'000}}) {
-      if (n > sharded_max_n) continue;
-
-      const harness::ShardedScenarioConfig base = sharded_config(n, 1, 30.0);
-      const auto oracle_start = std::chrono::steady_clock::now();
-      const harness::ShardedScenarioResult oracle = harness::run_serial_oracle(base);
-      const double oracle_ms = std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - oracle_start)
-                                   .count();
-      const double oracle_eps =
-          oracle_ms > 0.0 ? static_cast<double>(oracle.engine.fired) / (oracle_ms / 1000.0)
-                          : 0.0;
-      std::cout << "sharded n=" << n << " serial-oracle: " << oracle_ms << " ms, "
-                << oracle_eps << " events/s\n";
-
-      double k8_eps = 0.0;
-      for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-        const ShardedRow row = sharded_point(sharded_config(n, shards, 30.0));
-        print_sharded_row(row);
-        rc |= check_sharded_row(row);
-        if (shards == 8) k8_eps = row.events_per_sec;
-        sharded_rows.push_back(row);
-      }
-      for (const double window : {10.0, 120.0}) {
-        const ShardedRow row = sharded_point(sharded_config(n, 4, window));
-        print_sharded_row(row);
-        rc |= check_sharded_row(row);
-        sharded_rows.push_back(row);
-      }
-
-      // Throughput gate — only where the hardware can possibly deliver it
-      // (K = 8 windows need 8 cores to overlap; a 1-2 core CI box would
-      // fail on contention, not on a regression).
-      if (std::thread::hardware_concurrency() >= 8 && n >= 10'000 &&
-          k8_eps < 3.0 * oracle_eps) {
-        std::cerr << "FAIL: K=8 throughput at n=" << n << " is " << k8_eps
-                  << " events/s < 3x serial oracle (" << oracle_eps << ")\n";
-        rc = 1;
-      }
-    }
-    write_sharded_json(sharded_rows);
-  }
-
-  // Acceptance gates, enforced here so scale-smoke fails loudly in CI:
-  // the slot map must beat the legacy queue >= 5x on the cancel-heavy
-  // workload at N = 1000, and no scenario callback may fall back to the heap.
   for (const BeforeAfter& p : pairs) {
-    if (p.n == 1000 && p.speedup() < 5.0) {
+    if (!smoke && p.n == 1000 && p.speedup() < 5.0) {
       std::cerr << "FAIL: cancel-heavy speedup at N=1000 is x" << p.speedup()
                 << " (< 5x)\n";
       rc = 1;

@@ -6,7 +6,7 @@
 // along the node partition: each shard owns the count indices of its own
 // nodes' profiles, writes are *buffered* per source shard while a window
 // runs, and the buffers are folded serially in the window-barrier hook at
-// view-refresh epoch boundaries (src/harness/sharded_scenario.cpp). Between
+// view-refresh epoch boundaries (src/harness/paper_sharded.cpp). Between
 // folds the store is immutable, which is exactly what makes it a safe
 // read-only merged view: any shard may evaluate the selectivity of any
 // node's edges during a window and sees the same epoch snapshot regardless

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 
 #include "harness/checkpoint.hpp"
 #include "parallel/parallel_for.hpp"
@@ -18,18 +17,6 @@ bool env_truthy(const char* name) {
   if (v == nullptr) return false;
   const std::string_view s(v);
   return s == "1" || s == "true" || s == "on" || s == "yes";
-}
-
-/// Checkpoint keys must be single whitespace-free tokens.
-std::string sanitize_key(std::string_view key) {
-  std::string out;
-  out.reserve(key.size());
-  for (const char c : key) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    out.push_back(ok ? c : '_');
-  }
-  return out.empty() ? std::string("cell") : out;
 }
 
 /// Completed-replicate bitmap as space-free hex words (64 bits per word,
@@ -196,12 +183,7 @@ AdaptiveCellResult AdaptiveRunner::run_cell(
     ckpt.set(prefix + "bitmap", bitmap_for(done));
     ckpt.set(prefix + "samples", encode_u64(sample_digest));
     for (std::size_t i = 0; i < nspec; ++i) {
-      const auto raw = out.metrics[i].raw();
-      std::ostringstream acc;
-      acc << encode_u64(raw.n) << " " << encode_u64(raw.mean_bits) << " "
-          << encode_u64(raw.m2_bits) << " " << encode_u64(raw.min_bits) << " "
-          << encode_u64(raw.max_bits);
-      ckpt.set(prefix + "m" + std::to_string(i), acc.str());
+      ckpt.set(prefix + "m" + std::to_string(i), encode_accumulator(out.metrics[i]));
       ckpt.set(prefix + "s" + std::to_string(i), encode_double(out.sums[i]));
       ckpt.set(prefix + "p" + std::to_string(i), encode_u64(pass_counts[i]));
     }
@@ -244,21 +226,12 @@ AdaptiveCellResult AdaptiveRunner::run_cell(
         ckpt.erase_prefix(prefix);
         return false;
       }
-      std::istringstream fields(*acc);
-      std::string n, mean, m2, mn, mx;
-      fields >> n >> mean >> m2 >> mn >> mx;
-      const auto nv = decode_u64(n);
-      const auto meanv = decode_u64(mean);
-      const auto m2v = decode_u64(m2);
-      const auto mnv = decode_u64(mn);
-      const auto mxv = decode_u64(mx);
       const auto sumv = decode_double(*sum);
       const auto pcv = decode_u64(*pc);
-      if (!nv || !meanv || !m2v || !mnv || !mxv || !sumv || !pcv) {
+      if (!decode_accumulator(*acc, accs[i]) || !sumv || !pcv) {
         ckpt.erase_prefix(prefix);
         return false;
       }
-      accs[i] = metrics::Accumulator::from_raw({*nv, *meanv, *m2v, *mnv, *mxv});
       sums[i] = *sumv;
       pcs[i] = *pcv;
     }

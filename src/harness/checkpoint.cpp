@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "metrics/stats.hpp"
+
 namespace p2panon::harness {
 
 bool atomic_write_file(const std::filesystem::path& path, std::string_view payload) {
@@ -76,6 +78,39 @@ std::optional<double> decode_double(std::string_view s) noexcept {
   const auto bits = decode_u64(s);
   if (!bits) return std::nullopt;
   return std::bit_cast<double>(*bits);
+}
+
+std::string encode_accumulator(const metrics::Accumulator& acc) {
+  const auto raw = acc.raw();
+  std::ostringstream out;
+  out << encode_u64(raw.n) << " " << encode_u64(raw.mean_bits) << " " << encode_u64(raw.m2_bits)
+      << " " << encode_u64(raw.min_bits) << " " << encode_u64(raw.max_bits);
+  return out.str();
+}
+
+bool decode_accumulator(std::string_view text, metrics::Accumulator& out) {
+  std::istringstream in{std::string(text)};
+  std::string n, mean, m2, mn, mx;
+  if (!(in >> n >> mean >> m2 >> mn >> mx)) return false;
+  const auto nv = decode_u64(n);
+  const auto meanv = decode_u64(mean);
+  const auto m2v = decode_u64(m2);
+  const auto mnv = decode_u64(mn);
+  const auto mxv = decode_u64(mx);
+  if (!nv || !meanv || !m2v || !mnv || !mxv) return false;
+  out = metrics::Accumulator::from_raw({*nv, *meanv, *m2v, *mnv, *mxv});
+  return true;
+}
+
+std::string sanitize_key(std::string_view label) {
+  std::string out;
+  out.reserve(label.size());
+  for (const char c : label) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    out.push_back(ok ? c : '_');
+  }
+  return out.empty() ? std::string("cell") : out;
 }
 
 void Checkpoint::set(std::string key, std::string value) {

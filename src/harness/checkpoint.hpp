@@ -25,6 +25,10 @@
 #include <utility>
 #include <vector>
 
+namespace p2panon::metrics {
+class Accumulator;
+}
+
 namespace p2panon::harness {
 
 /// Atomically replace `path` with `payload` (write temp + rename).
@@ -57,6 +61,16 @@ namespace p2panon::harness {
 [[nodiscard]] std::optional<double> decode_double(std::string_view s) noexcept;
 [[nodiscard]] std::string encode_u64(std::uint64_t v);
 [[nodiscard]] std::optional<std::uint64_t> decode_u64(std::string_view s) noexcept;
+
+/// Accumulator state as five space-separated encode_u64 fields (count, then
+/// the bit patterns of mean, m2, min and max); the round-trip is bit-exact.
+[[nodiscard]] std::string encode_accumulator(const metrics::Accumulator& acc);
+/// False (and `out` untouched) unless `text` holds five decodable fields.
+[[nodiscard]] bool decode_accumulator(std::string_view text, metrics::Accumulator& out);
+
+/// A cell label as a checkpoint key token: every character outside
+/// [A-Za-z0-9._-] becomes '_', and an empty label becomes "cell".
+[[nodiscard]] std::string sanitize_key(std::string_view label);
 
 /// Checkpoint file: ordered (key, value) records under a versioned header,
 /// closed by a whole-file FNV-1a digest line. `load` refuses a file whose

@@ -163,28 +163,6 @@ void accumulate_result(ReplicatedResult& agg, const ScenarioResult& r) {
   for (const BoolField& f : kBoolFields) agg.*f.member = agg.*f.member && r.*f.source;
 }
 
-std::string encode_acc(const metrics::Accumulator& acc) {
-  const auto raw = acc.raw();
-  std::ostringstream out;
-  out << encode_u64(raw.n) << " " << encode_u64(raw.mean_bits) << " " << encode_u64(raw.m2_bits)
-      << " " << encode_u64(raw.min_bits) << " " << encode_u64(raw.max_bits);
-  return out.str();
-}
-
-bool decode_acc(const std::string& text, metrics::Accumulator& out) {
-  std::istringstream in(text);
-  std::string n, mean, m2, mn, mx;
-  if (!(in >> n >> mean >> m2 >> mn >> mx)) return false;
-  const auto nv = decode_u64(n);
-  const auto meanv = decode_u64(mean);
-  const auto m2v = decode_u64(m2);
-  const auto mnv = decode_u64(mn);
-  const auto mxv = decode_u64(mx);
-  if (!nv || !meanv || !m2v || !mnv || !mxv) return false;
-  out = metrics::Accumulator::from_raw({*nv, *meanv, *m2v, *mnv, *mxv});
-  return true;
-}
-
 std::string encode_samples(const std::vector<double>& samples) {
   std::ostringstream out;
   out << encode_u64(samples.size());
@@ -211,7 +189,7 @@ bool decode_samples(const std::string& text, std::vector<double>& out) {
 
 void encode_replicated(Checkpoint& ckpt, const std::string& prefix, const ReplicatedResult& r) {
   ckpt.set(prefix + "replicates", encode_u64(r.replicates));
-  for (const AccField& f : kAccFields) ckpt.set(prefix + f.key, encode_acc(r.*f.member));
+  for (const AccField& f : kAccFields) ckpt.set(prefix + f.key, encode_accumulator(r.*f.member));
   for (const U64Field& f : kU64Fields) ckpt.set(prefix + f.key, encode_u64(r.*f.member));
   for (const I64Field& f : kI64Fields) {
     ckpt.set(prefix + f.key, encode_u64(static_cast<std::uint64_t>(r.*f.member)));
@@ -221,7 +199,8 @@ void encode_replicated(Checkpoint& ckpt, const std::string& prefix, const Replic
   ckpt.set(prefix + "pooled_member", encode_samples(r.pooled_member_payoffs));
   ckpt.set(prefix + "nef.count", encode_u64(r.new_edge_fraction_by_conn.size()));
   for (std::size_t j = 0; j < r.new_edge_fraction_by_conn.size(); ++j) {
-    ckpt.set(prefix + "nef." + std::to_string(j), encode_acc(r.new_edge_fraction_by_conn[j]));
+    ckpt.set(prefix + "nef." + std::to_string(j),
+             encode_accumulator(r.new_edge_fraction_by_conn[j]));
   }
 }
 
@@ -234,7 +213,7 @@ bool decode_replicated(const Checkpoint& ckpt, const std::string& prefix, Replic
   r.replicates = static_cast<std::size_t>(*reps_v);
   for (const AccField& f : kAccFields) {
     const std::string* v = get(f.key);
-    if (v == nullptr || !decode_acc(*v, r.*f.member)) return false;
+    if (v == nullptr || !decode_accumulator(*v, r.*f.member)) return false;
   }
   for (const U64Field& f : kU64Fields) {
     const std::string* v = get(f.key);
@@ -266,7 +245,7 @@ bool decode_replicated(const Checkpoint& ckpt, const std::string& prefix, Replic
   r.new_edge_fraction_by_conn.assign(static_cast<std::size_t>(*nef_n), {});
   for (std::size_t j = 0; j < r.new_edge_fraction_by_conn.size(); ++j) {
     const std::string* v = get("nef." + std::to_string(j));
-    if (v == nullptr || !decode_acc(*v, r.new_edge_fraction_by_conn[j])) return false;
+    if (v == nullptr || !decode_accumulator(*v, r.new_edge_fraction_by_conn[j])) return false;
   }
   return true;
 }
@@ -419,13 +398,7 @@ AdaptiveReplicatedResult run_replicated_adaptive(const ScenarioConfig& base, std
   bool stopped = false;
 
   const std::filesystem::path ckpt_path = adaptive.checkpoint;
-  std::string key;
-  for (const char c : cell_key) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    key.push_back(ok ? c : '_');
-  }
-  const std::string prefix = "r." + (key.empty() ? std::string("cell") : key) + ".";
+  const std::string prefix = "r." + sanitize_key(cell_key) + ".";
   Checkpoint ckpt;
 
   if (use_ckpt) {

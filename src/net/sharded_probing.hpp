@@ -13,8 +13,7 @@
 //   * Liveness reads respect the window contract: a same-shard neighbour is
 //     read live, a cross-shard neighbour through the liveness snapshot
 //     published at the last window barrier. At K = 1 every neighbour is
-//     same-shard and the estimator degenerates to fully-live reads — the
-//     serial-oracle identity the equivalence tests pin.
+//     same-shard and the estimator degenerates to fully-live reads.
 //
 // Epoch contract (mirrors ProbingEstimator::epoch): probe_epoch_[s] is
 // bumped by every mutation that any alpha_s(.) depends on — a probe sweep of

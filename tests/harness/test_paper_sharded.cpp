@@ -1,9 +1,9 @@
 // Sharded full-paper-scenario contracts (src/harness/paper_sharded.*):
 // engine_shards = 1 keeps the serial path untouched (bitwise, digest zero),
-// K > 1 runs are bitwise deterministic across thread-pool sizes AND across
-// window lengths dividing the view-refresh interval, and a K = 4 run with
-// bank faults terminalises every settlement with exact conservation in
-// every bank partition and globally.
+// K > 1 runs are bitwise deterministic across thread-pool sizes (digest and
+// engine work counters) AND across window lengths dividing the view-refresh
+// interval, and a K = 4 run with bank faults terminalises every settlement
+// with exact conservation in every bank partition and globally.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,6 +49,17 @@ void expect_same_run(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.settlement_refunded_milli, b.settlement_refunded_milli);
 }
 
+/// Engine work counters: pool size must not change how many events ran,
+/// how many callbacks outgrew the inline buffer, or what crossed shards.
+void expect_same_engine_work(const ScenarioResult& a, const ScenarioResult& b) {
+  EXPECT_EQ(a.engine_events_scheduled, b.engine_events_scheduled);
+  EXPECT_EQ(a.engine_events_cancelled, b.engine_events_cancelled);
+  EXPECT_EQ(a.engine_events_fired, b.engine_events_fired);
+  EXPECT_EQ(a.engine_callback_heap_allocs, b.engine_callback_heap_allocs);
+  EXPECT_EQ(a.engine_cross_shard_messages, b.engine_cross_shard_messages);
+  EXPECT_EQ(a.engine_window_barriers, b.engine_window_barriers);
+}
+
 }  // namespace
 
 TEST(PaperSharded, SerialPathUntouchedAtOneShard) {
@@ -91,8 +102,11 @@ TEST(PaperSharded, DigestInvariantAcrossThreadPools) {
     const ScenarioResult p4 = run_paper_scenario_sharded(cfg, &four);
 
     EXPECT_NE(serial.sharded_digest, 0u);
+    EXPECT_GT(serial.engine_cross_shard_messages, 0u) << "K > 1 must route cross-shard";
     expect_same_run(serial, p1);
     expect_same_run(serial, p4);
+    expect_same_engine_work(serial, p1);
+    expect_same_engine_work(serial, p4);
   }
 }
 

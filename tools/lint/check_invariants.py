@@ -177,8 +177,8 @@ EPOCH_GUARDS = [
         "epoch": re.compile(r"(\+\+\s*epoch_|epoch_\s*(\[[^]]*\]\s*)?(\+\+|\+=|=))"),
     },
     {
-        # The sharded probing estimator publishes per-node epochs consumed by
-        # ShardedEdgeQuality / ShardDecisionScratch — same contract, SoA form.
+        # The sharded probing estimator publishes a per-node epoch that any
+        # cache of its estimates may key on — same contract, SoA form.
         "cls": "ShardedProbing",
         "files": ("src/net/sharded_probing.hpp", "src/net/sharded_probing.cpp"),
         "state": ("session_time_", "avail_total_"),
