@@ -16,15 +16,18 @@
 //
 //  * when s's profile holds no entry for (pair, predecessor) — an O(1)
 //    check via HistoryProfile::position_count — sigma is exactly 0 for
-//    every successor, so the entry is keyed under a canonical
-//    "history-free" predecessor and shared across all such predecessors;
-//  * those history-free entries are also independent of the connection
-//    index k (only sigma's denominator sees k), so they stay valid across
-//    the connections of a set until an epoch moves.
+//    every successor, so q(s, v) = w_a * alpha_s(v) (times the suspect
+//    multiplier) and the entry is keyed by (s, v) alone: one entry serves
+//    every pair, predecessor and connection index k;
+//  * for the same reason a history-free entry ignores s's history epoch:
+//    whether a lookup is history-free is decided afresh each time, so it
+//    stays valid until s probes again (or the suspicion epoch moves), even
+//    while paths of other pairs are recorded at s.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -45,7 +48,11 @@ class EdgeQualityEvaluator {
   EdgeQualityEvaluator(const net::ProbingEstimator& probing, const HistoryStore& history,
                        QualityWeights weights,
                        const SuspicionTracker* suspicion = nullptr) noexcept
-      : probing_(probing), history_(history), weights_(weights), suspicion_(suspicion) {}
+      : probing_(probing),
+        history_(history),
+        weights_(weights),
+        suspicion_(suspicion),
+        availability_ceiling_(availability_ceiling(weights, suspicion)) {}
 
   [[nodiscard]] const QualityWeights& weights() const noexcept { return weights_; }
   [[nodiscard]] const net::ProbingEstimator& probing() const noexcept { return probing_; }
@@ -68,6 +75,23 @@ class EdgeQualityEvaluator {
     return weights_.w_selectivity * sigma + weights_.w_availability * alpha;
   }
 
+  /// An upper bound on edge_quality(s, v, R, pair, predecessor, k) over every
+  /// successor v of s, where `position_count` is s's stored entry count for
+  /// (pair, predecessor) (HistoryProfile::position_count). Each term of
+  /// edge_quality is bounded by the same expression on its ceiling:
+  ///  * sigma = count(pair, pred, v) / (k-1) <= position_count / (k-1), and
+  ///    0 when k <= 1;
+  ///  * alpha <= 1 (a share of a sum of non-negative session times, or the
+  ///    1/d prior), and the suspect multiplier <= the tracker's max_factor.
+  /// Rounding is monotone, so with non-negative weights the bound is exact,
+  /// not approximate; with a negative (or NaN) weight it is +inf.
+  [[nodiscard]] double edge_quality_ceiling(std::size_t position_count,
+                                            std::uint32_t k) const noexcept {
+    const double sigma_max =
+        k <= 1 ? 0.0 : static_cast<double>(position_count) / static_cast<double>(k - 1);
+    return weights_.w_selectivity * sigma_max + availability_ceiling_;
+  }
+
   /// Quality of a full path (node sequence initiator..responder): the sum of
   /// the qualities of its edges, evaluated with each hop's actual
   /// predecessor.
@@ -75,10 +99,21 @@ class EdgeQualityEvaluator {
                                     std::uint32_t k) const;
 
  private:
+  /// w_a * (largest alpha * suspect multiplier), or +inf when a weight is
+  /// negative and the ceiling arithmetic no longer bounds edge_quality.
+  [[nodiscard]] static double availability_ceiling(const QualityWeights& w,
+                                                   const SuspicionTracker* suspicion) noexcept {
+    if (!(w.w_selectivity >= 0.0 && w.w_availability >= 0.0)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    return w.w_availability * (suspicion != nullptr ? suspicion->max_factor() : 1.0);
+  }
+
   const net::ProbingEstimator& probing_;
   const HistoryStore& history_;
   QualityWeights weights_;
   const SuspicionTracker* suspicion_;
+  double availability_ceiling_;
 };
 
 /// Lossy, fixed-size, epoch-invalidated memo of edge_quality answers. One
@@ -89,14 +124,6 @@ class EdgeQualityCache {
   /// `log2_slots` fixes the table size; the cache never reallocates after
   /// first use (steady state is allocation-free).
   explicit EdgeQualityCache(std::size_t log2_slots = 15) : log2_slots_(log2_slots) {}
-
-  /// O(1) canonicalisation witness, answered through the memo shared with
-  /// node_facts: true when s's profile holds no entry for
-  /// (pair, predecessor), i.e. sigma == 0 toward every successor.
-  [[nodiscard]] bool history_free(const EdgeQualityEvaluator& eval, net::NodeId s,
-                                  net::PairId pair, net::NodeId predecessor) {
-    return resolve_history_free(eval.history().at(s), s, pair, predecessor);
-  }
 
   /// Everything about the forwarder side of an edge lookup that is shared by
   /// all candidate successors of one decision level: both epochs and the
@@ -116,6 +143,9 @@ class EdgeQualityCache {
     net::PairId pair = net::kInvalidPair;
     net::NodeId predecessor = net::kInvalidNode;
     net::NodeId canonical = net::kInvalidNode;
+    /// s's stored entries for (pair, predecessor): the witness behind
+    /// `canonical` and the input to EdgeQualityEvaluator::edge_quality_ceiling.
+    std::size_t position_count = 0;
   };
 
   [[nodiscard]] NodeFacts node_facts(const EdgeQualityEvaluator& eval, net::NodeId s,
@@ -128,8 +158,8 @@ class EdgeQualityCache {
     f.s = s;
     f.pair = pair;
     f.predecessor = predecessor;
-    f.canonical = resolve_history_free(profile, s, pair, predecessor) ? net::kInvalidNode
-                                                                      : predecessor;
+    f.position_count = resolve_position_count(profile, s, pair, predecessor);
+    f.canonical = f.position_count == 0 ? net::kInvalidNode : predecessor;
     return f;
   }
 
@@ -146,11 +176,13 @@ class EdgeQualityCache {
                                          net::NodeId v, net::NodeId responder, std::uint32_t k) {
     if (v == responder) return 1.0;  // never cached; definitionally 1
 
-    const std::uint64_t h_epoch = f.h_epoch;
+    // History-free: keyed by (s, v) alone, history epoch pinned at 0.
+    const bool free = f.canonical == net::kInvalidNode;
+    const std::uint64_t h_epoch = free ? 0 : f.h_epoch;
     const std::uint64_t p_epoch = f.p_epoch;
     const std::uint64_t s_epoch = f.s_epoch;
-    const bool free = f.canonical == net::kInvalidNode;
-    const PackedKey key = PackedKey::of(f.s, v, f.pair, f.canonical);
+    const PackedKey key = free ? PackedKey::of(f.s, v, net::kInvalidPair, net::kInvalidNode)
+                               : PackedKey::of(f.s, v, f.pair, f.canonical);
 
     if (slots_.empty()) slots_.assign(std::size_t{1} << log2_slots_, Slot{});
     const std::size_t mask = slots_.size() - 1;
@@ -206,8 +238,8 @@ class EdgeQualityCache {
 
  private:
   struct Slot {
-    PackedKey key;               // (s, v, pair, canonical predecessor)
-    std::uint64_t history_epoch = 0;
+    PackedKey key;  // (s, v, pair, canonical predecessor); (s, v) if history-free
+    std::uint64_t history_epoch = 0;  // 0 for history-free entries
     std::uint64_t probing_epoch = 0;
     std::uint64_t suspicion_epoch = 0;
     std::uint32_t conn_index = 0;
@@ -228,20 +260,20 @@ class EdgeQualityCache {
   struct CanonEntry {
     PackedKey key;  // (s, pair, predecessor)
     std::uint64_t h_epoch = 0;
-    bool free = false;
+    std::uint32_t position_count = 0;
     bool used = false;
   };
   static constexpr std::size_t kCanonSlots = 64;
 
-  bool resolve_history_free(const HistoryProfile& profile, net::NodeId s, net::PairId pair,
-                            net::NodeId predecessor) {
+  std::size_t resolve_position_count(const HistoryProfile& profile, net::NodeId s,
+                                     net::PairId pair, net::NodeId predecessor) {
     const std::uint64_t h_epoch = profile.epoch();
     const PackedKey ck = PackedKey::of(s, pair, predecessor);
     CanonEntry& e = canon_[static_cast<std::size_t>(hash_packed_key_fast(ck) >> 58)];
-    if (e.used && e.key == ck && e.h_epoch == h_epoch) return e.free;
-    const bool free = profile.position_count(pair, predecessor) == 0;
-    e = CanonEntry{ck, h_epoch, free, true};
-    return free;
+    if (e.used && e.key == ck && e.h_epoch == h_epoch) return e.position_count;
+    const auto count = static_cast<std::uint32_t>(profile.position_count(pair, predecessor));
+    e = CanonEntry{ck, h_epoch, count, true};
+    return count;
   }
 
   std::size_t log2_slots_;

@@ -7,6 +7,9 @@ namespace p2panon::core {
 SuspicionTracker::SuspicionTracker(std::size_t node_count, double penalty)
     : counts_(node_count, 0), penalty_(penalty) {
   assert(penalty > 0.0 && penalty <= 1.0);
+  double saturated = 1.0;
+  for (std::uint32_t i = 0; i < kMaxCount; ++i) saturated *= penalty_;
+  if (saturated > max_factor_) max_factor_ = saturated;
 }
 
 void SuspicionTracker::record_timeout(net::NodeId suspect) {

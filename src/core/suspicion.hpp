@@ -33,6 +33,11 @@ class SuspicionTracker {
   /// Multiplier in (0, 1] applied to alpha_s(v): penalty^timeout_count.
   [[nodiscard]] double availability_factor(net::NodeId v) const;
 
+  /// The largest value availability_factor can return for any node and any
+  /// count: 1 for a penalty <= 1 (count 0), else the saturated product.
+  /// Computed by the same iterated multiply, so the ceiling is exact.
+  [[nodiscard]] double max_factor() const noexcept { return max_factor_; }
+
   [[nodiscard]] std::uint32_t count(net::NodeId v) const { return counts_.at(v); }
 
   /// Monotone epoch over all suspicion state; bumped by every mutation that
@@ -46,6 +51,7 @@ class SuspicionTracker {
 
   std::vector<std::uint32_t> counts_;
   double penalty_;
+  double max_factor_ = 1.0;
   std::uint64_t epoch_ = 0;
 };
 

@@ -33,6 +33,19 @@ double best_onward_quality(const RoutingContext& ctx, net::NodeId from, net::Nod
   if (cache != nullptr) {
     facts = cache->node_facts(ctx.quality, from, ctx.pair, pred);
   }
+
+  // Last level: the value is max(1.0, max_c q(from, c)) — every successor
+  // term is q + 0.0, and direct delivery is a quality-1 edge. When no edge
+  // out of `from` can beat 1 that maximum is exactly 1.0, so skip the scan.
+  // Both paths feed the bound the same position_count, so they stay bitwise
+  // equal; whenever the bound exceeds 1 the scan below decides.
+  if (depth == 1) {
+    const std::size_t position_count =
+        cache != nullptr ? facts.position_count
+                         : ctx.quality.history().at(from).position_count(ctx.pair, pred);
+    if (ctx.quality.edge_quality_ceiling(position_count, ctx.conn_index) <= 1.0) return 1.0;
+  }
+
   PackedKey key;
   if (scratch != nullptr) {
     key = PackedKey::of(from, facts.canonical, depth, kScratchLookahead);

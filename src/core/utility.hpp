@@ -71,13 +71,19 @@ struct RoutingContext {
 
 /// Quality (sum of edge qualities) of the best onward path of at most
 /// `depth` edges starting at node `from` (predecessor `pred`), stopping
-/// early when the responder is reached. Exhaustive search over online
-/// neighbours; cost O(d^depth), fine for d ~ 5 and depth <= 4. While a
-/// DecisionScope is open on ctx.resources, subproblems are memoised per
-/// (from, canonical predecessor, depth) — predecessors with no stored
-/// history at `from` collapse to one canonical key because sigma is
-/// exactly 0 toward every successor — turning the d^depth tree into at
-/// most nodes x depth distinct evaluations per decision.
+/// early when the responder is reached; never below the direct-delivery
+/// quality 1 (for depth >= 1 and from != responder). Exhaustive search over
+/// online neighbours, with two exact shortcuts:
+///  * the last level (depth 1) returns 1.0 without scanning when
+///    EdgeQualityEvaluator::edge_quality_ceiling shows no edge out of `from`
+///    can exceed quality 1 — the common case, so a tree costs about
+///    d^(depth-1) edge evaluations rather than d^depth;
+///  * while a DecisionScope is open on ctx.resources, subproblems are
+///    memoised per (from, canonical predecessor, depth) — predecessors with
+///    no stored history at `from` collapse to one canonical key because
+///    sigma is exactly 0 toward every successor — so one decision makes at
+///    most nodes x depth distinct evaluations.
+/// Both are bitwise invisible: the result equals the plain exhaustive scan.
 [[nodiscard]] double best_onward_quality(const RoutingContext& ctx, net::NodeId from,
                                          net::NodeId pred, std::uint32_t depth);
 

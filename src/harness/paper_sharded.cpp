@@ -278,8 +278,11 @@ class PaperWorld {
 
   /// Launch connection j of pair p on the owner shard. The whole path is
   /// constructed here from epoch snapshots only (published liveness,
-  /// availability snapshot, folded history), so the outcome is identical
-  /// for any K, pool size, and window dividing the refresh interval. The
+  /// availability snapshot, folded history), so for a fixed K the outcome
+  /// is identical for any pool size and window dividing the refresh
+  /// interval. It still depends on K: probe_tick feeds the availability
+  /// snapshot from probes that read same-shard neighbours live and
+  /// cross-shard ones from the published snapshot (ROADMAP item 1(a)). The
   /// data-plane echo (hop posts across shards) carries no digested state.
   void launch(std::uint32_t p, std::uint32_t j) {
     PairState& st = pairs_[p];

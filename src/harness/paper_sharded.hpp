@@ -14,8 +14,12 @@
 //     a read-only merged view while shards run;
 //   * path construction reads ONLY epoch snapshots (published liveness,
 //     per-edge availability snapshot, folded history selectivity) plus
-//     static topology, so a pair's paths are identical for any K, pool
-//     size, or window length dividing the refresh interval;
+//     static topology, so for a fixed K a pair's paths are identical for
+//     any pool size or window length dividing the refresh interval. They are
+//     NOT identical across K: the availability snapshot is taken from
+//     ShardedProbing, whose probe reads live liveness for a same-shard
+//     neighbour but the published snapshot for a cross-shard one, and which
+//     neighbours are same-shard depends on K (ROADMAP item 1(a));
 //   * pair settlement is batched: completed pairs enqueue their settlement
 //     ops (open -> aggregated forwarder-epoch claims -> close) into
 //     per-shard FIFO buffers, and the serial barrier hook drains the

@@ -12,7 +12,6 @@ ShardedProbing::ShardedProbing(const NodeStateSoA& state, const ShardPartition& 
       stream_(stream),
       session_time_(state.size() * state.degree, kNeverObserved),
       avail_total_(state.size(), 0.0),
-      probe_epoch_(state.size(), 0),
       probes_per_shard_(partition.shard_count(), 0) {
   assert(period_ > 0.0);
   assert(partition_.node_count() == state_.size());
@@ -21,7 +20,6 @@ ShardedProbing::ShardedProbing(const NodeStateSoA& state, const ShardPartition& 
 void ShardedProbing::probe(NodeId s, std::span<const std::uint8_t> published_online) {
   const std::uint32_t home = partition_.shard_of(s);
   ++probes_per_shard_[home];
-  ++probe_epoch_[s];  // session times are about to move
 
   const auto row = state_.neighbors_of(s);
   double* times = session_time_.data() + static_cast<std::size_t>(s) * state_.degree;
@@ -57,7 +55,6 @@ void ShardedProbing::on_neighbor_replaced(NodeId s, std::size_t slot) {
     if (times[j] >= 0.0) total += times[j];
   }
   avail_total_[s] = total;
-  ++probe_epoch_[s];
 }
 
 double ShardedProbing::availability(NodeId s, std::size_t slot) const {

@@ -14,11 +14,6 @@
 //     read live, a cross-shard neighbour through the liveness snapshot
 //     published at the last window barrier. At K = 1 every neighbour is
 //     same-shard and the estimator degenerates to fully-live reads.
-//
-// Epoch contract (mirrors ProbingEstimator::epoch): probe_epoch_[s] is
-// bumped by every mutation that any alpha_s(.) depends on — a probe sweep of
-// s or a neighbour replacement in D(s). Equal epochs guarantee bit-identical
-// availability answers for s.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +60,6 @@ class ShardedProbing {
   /// session time and rebuild the denominator.
   void on_neighbor_replaced(NodeId s, std::size_t slot);
 
-  [[nodiscard]] std::uint64_t epoch(NodeId s) const { return probe_epoch_[s]; }
   [[nodiscard]] sim::Time observed_session_time(NodeId s, std::size_t slot) const {
     const double t = session_time_[static_cast<std::size_t>(s) * state_.degree + slot];
     return t < 0.0 ? 0.0 : t;
@@ -87,10 +81,9 @@ class ShardedProbing {
   /// t_s(u) by CSR slot, size N * d; kNeverObserved until first sighting.
   std::vector<double> session_time_;
   /// avail_total_[s] = sum over observed slots of D(s) — the alpha
-  /// denominator, maintained at the same mutation points that bump
-  /// probe_epoch_[s].
+  /// denominator, refreshed by every probe of s and every neighbour
+  /// replacement in D(s).
   std::vector<double> avail_total_;
-  std::vector<std::uint64_t> probe_epoch_;
   std::vector<std::uint64_t> probes_per_shard_;
 };
 

@@ -174,6 +174,29 @@ TEST(EdgeQualityCache, ConnectionIndexRespected) {
   EXPECT_NE(k6, k11);
 }
 
+TEST(EdgeQualityCache, HistoryFreeEntriesAreSharedAcrossPairs) {
+  // sigma is exactly 0 when s holds no history for (pair, predecessor), so
+  // one (s, v) entry serves every such pair, predecessor and k, and stays
+  // valid while other pairs' paths are recorded at s.
+  CacheWorld w;
+  EdgeQualityCache cache;
+  const NodeId s = w.overlay.neighbors(0)[0];
+  const NodeId v = w.overlay.neighbors(s)[1];
+  const double first = cache.get_or_compute(w.quality, s, v, 19, 3, kInvalidNode, 2);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.get_or_compute(w.quality, s, v, 19, 4, NodeId{7}, 9), first);
+  EXPECT_EQ(cache.get_or_compute(w.quality, s, v, 19, 5, kInvalidNode, 1), first);
+  EXPECT_EQ(cache.hits(), 2u);
+  w.history.record_path(6, 1, {0, s, v, 19});  // s's history epoch moves
+  EXPECT_EQ(cache.get_or_compute(w.quality, s, v, 19, 3, kInvalidNode, 2), first);
+  EXPECT_EQ(cache.hits(), 3u);
+  // The recorded pair is no longer history-free at (6, predecessor 0): its
+  // lookup must see sigma, not the shared entry.
+  const double selective = cache.get_or_compute(w.quality, s, v, 19, 6, 0, 2);
+  EXPECT_EQ(selective, w.quality.edge_quality(s, v, 19, 6, 0, 2));
+  EXPECT_GT(selective, first);
+}
+
 TEST(Lookahead, MemoisedMatchesPlainBitwise) {
   CacheWorld w;
   DecisionResources res;

@@ -353,6 +353,40 @@ TEST(GoldenPins, FaultModeTotals) {
   expect_matches_golden(run_replicated(pinned_fault_config(), 3, nullptr), kFaultGolden);
 }
 
+// The paper-fig benchmark point (Fig. 4: N = 40, f = 0.1, Utility Model II
+// at depth 3, unbounded history), recorded before the lookahead's last
+// level was bounded. Every hop decision runs the depth-3 lookahead, so a
+// pruning rule that changed any best_onward_quality value would move a
+// path, and with it these totals.
+namespace {
+
+ScenarioConfig pinned_paper_fig_config() {
+  ScenarioConfig cfg = paper_default_config(7);
+  cfg.overlay.malicious_fraction = 0.1;
+  cfg.good_strategy = core::StrategyKind::kUtilityModelII;
+  cfg.lookahead_depth = 3;
+  return cfg;
+}
+
+constexpr GoldenTotals kPaperFigGolden = {
+    {8888, 0, 8738, 0},
+    {200, 0, 0, 0, 15774, 0, 0, 0},
+    {1210067547, 1210067547, 0},
+    true,
+    {0, 0, 0, 0},  // the fault-free path sends no frames
+    0xD658B19837B83859ULL};
+
+}  // namespace
+
+TEST(GoldenPins, PaperFigModel2Totals) {
+  const ReplicatedResult r = run_replicated(pinned_paper_fig_config(), 2, nullptr);
+  EXPECT_EQ(r.total_connections_completed, 4000u);
+  EXPECT_EQ(r.total_connections_failed, 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.path_quality.mean()), 0x3FD770667047B2ABULL)
+      << "path_quality_mean: " << r.path_quality.mean();  // 0.36623536076403224
+  expect_matches_golden(r, kPaperFigGolden);
+}
+
 TEST(GoldenPins, BankFaultModeMatchesPins) {
   const ReplicatedResult r = run_replicated(pinned_bank_fault_config(), 3, nullptr);
   ASSERT_GT(r.total_claims_submitted, 0u) << "config must actually submit claims";

@@ -177,15 +177,6 @@ EPOCH_GUARDS = [
         "epoch": re.compile(r"(\+\+\s*epoch_|epoch_\s*(\[[^]]*\]\s*)?(\+\+|\+=|=))"),
     },
     {
-        # The sharded probing estimator publishes a per-node epoch that any
-        # cache of its estimates may key on — same contract, SoA form.
-        "cls": "ShardedProbing",
-        "files": ("src/net/sharded_probing.hpp", "src/net/sharded_probing.cpp"),
-        "state": ("session_time_", "avail_total_"),
-        "epoch": re.compile(
-            r"(\+\+\s*probe_epoch_|probe_epoch_\s*(\[[^]]*\]\s*)?(\+\+|\+=|=))"),
-    },
-    {
         # The barrier-merged history view: folds publish a new epoch that
         # selectivity consumers may key caches on — same contract again.
         "cls": "ShardedHistory",
